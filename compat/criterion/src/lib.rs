@@ -4,7 +4,7 @@
 //! the benchmark-harness API surface the workspace's `criterion_*` benches
 //! use: [`criterion_group!`] / [`criterion_main!`], benchmark groups with
 //! `sample_size`, `bench_function` / `bench_with_input` with
-//! [`BenchmarkId`], and `Bencher::iter`.
+//! [`BenchmarkId`], and `Bencher::iter` / `Bencher::iter_batched`.
 //!
 //! Measurement is deliberately simple: each benchmark is warmed up, an
 //! iteration count is calibrated to a ~200 ms budget, and the mean, min
@@ -126,6 +126,18 @@ impl BenchmarkGroup<'_> {
 /// Target wall-clock budget for one benchmark's measurement phase.
 const MEASURE_BUDGET: Duration = Duration::from_millis(200);
 
+/// How many inputs [`Bencher::iter_batched`] may build ahead; accepted for
+/// API compatibility (this stand-in builds one input per call).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Cheap inputs.
+    SmallInput,
+    /// Inputs expensive to hold many of at once.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
+}
+
 /// Timing context handed to benchmark closures.
 pub struct Bencher {
     sample_size: usize,
@@ -159,6 +171,34 @@ impl Bencher {
             let dt = start.elapsed();
             self.samples
                 .push((dt.as_nanos() as f64 / iters as f64, iters));
+        }
+    }
+
+    /// Time `routine` on inputs built by an untimed `setup`, one input per
+    /// call (for routines that consume their input).
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let input = setup();
+        let t0 = Instant::now();
+        black_box(routine(input));
+        let once = t0.elapsed().max(Duration::from_nanos(1));
+        let per_sample = MEASURE_BUDGET.as_nanos() / self.sample_size.max(1) as u128;
+        let iters = (per_sample / once.as_nanos().max(1)).clamp(1, 1_000_000) as u64;
+
+        self.samples.clear();
+        for _ in 0..self.sample_size {
+            let mut elapsed = Duration::ZERO;
+            for _ in 0..iters {
+                let input = setup();
+                let start = Instant::now();
+                black_box(routine(input));
+                elapsed += start.elapsed();
+            }
+            self.samples
+                .push((elapsed.as_nanos() as f64 / iters as f64, iters));
         }
     }
 

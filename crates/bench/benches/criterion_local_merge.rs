@@ -2,7 +2,7 @@
 //! paper's order-of-magnitude hash-vs-heap merging claim (Table VII), as
 //! a function of the number of merged matrices (= layers or stages).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use spgemm_sparse::gen::er_random;
 use spgemm_sparse::merge::{merge_hash_sorted, merge_hash_unsorted, merge_heap};
 use spgemm_sparse::semiring::PlusTimesF64;
@@ -20,10 +20,18 @@ fn bench_merges(c: &mut Criterion) {
     for k in [4usize, 16] {
         let ps = parts(k);
         group.bench_with_input(BenchmarkId::new("hash-unsorted", k), &ps, |b, ps| {
-            b.iter(|| merge_hash_unsorted::<PlusTimesF64>(ps).unwrap());
+            b.iter_batched(
+                || ps.clone(),
+                |ps| merge_hash_unsorted::<PlusTimesF64>(ps).unwrap(),
+                BatchSize::LargeInput,
+            );
         });
         group.bench_with_input(BenchmarkId::new("hash-sorted", k), &ps, |b, ps| {
-            b.iter(|| merge_hash_sorted::<PlusTimesF64>(ps).unwrap());
+            b.iter_batched(
+                || ps.clone(),
+                |ps| merge_hash_sorted::<PlusTimesF64>(ps).unwrap(),
+                BatchSize::LargeInput,
+            );
         });
         group.bench_with_input(BenchmarkId::new("heap", k), &ps, |b, ps| {
             b.iter(|| merge_heap::<PlusTimesF64>(ps).unwrap());

@@ -71,8 +71,8 @@ fn batch_allocating(stages: &[(CscMatrix<f64>, CscMatrix<f64>)]) -> CscMatrix<f6
         .iter()
         .map(|(l, r)| spgemm_hash_unsorted::<PlusTimesF64>(l, r).unwrap().0)
         .collect();
-    let (layer, _) = merge_hash_unsorted::<PlusTimesF64>(&partials).unwrap();
-    let (fiber, _) = merge_hash_sorted::<PlusTimesF64>(std::slice::from_ref(&layer)).unwrap();
+    let (layer, _) = merge_hash_unsorted::<PlusTimesF64>(partials).unwrap();
+    let (fiber, _) = merge_hash_sorted::<PlusTimesF64>(vec![layer]).unwrap();
     fiber
 }
 
@@ -85,21 +85,22 @@ fn batch_with_workspace(
         .iter()
         .map(|(l, r)| spgemm_hash_unsorted_with_workspace::<PlusTimesF64>(l, r, ws).unwrap().0)
         .collect();
-    let (layer, _) = merge_hash_unsorted_with_workspace::<PlusTimesF64>(&partials, ws).unwrap();
-    let (fiber, _) =
-        merge_hash_sorted_with_workspace::<PlusTimesF64>(std::slice::from_ref(&layer), ws).unwrap();
+    let (layer, _) = merge_hash_unsorted_with_workspace::<PlusTimesF64>(partials, ws).unwrap();
+    let (fiber, _) = merge_hash_sorted_with_workspace::<PlusTimesF64>(vec![layer], ws).unwrap();
     fiber
 }
 
 fn report_alloc_counts(stages: &[(CscMatrix<f64>, CscMatrix<f64>)]) {
     const BATCHES: u64 = 16;
-    // Both paths materialize the same six outputs per batch (4 stage
-    // partials + layer merge + fiber merge), each costing exactly three
-    // exact-size copies (colptr/rowidx/vals), plus one partials Vec. The
-    // scratch metric below subtracts this floor — it is the part workspace
-    // reuse is *supposed* to eliminate (tables, heaps, arenas).
-    let calls_per_batch = stages.len() as u64 + 2;
-    let output_floor = BATCHES * (3 * calls_per_batch + 1);
+    // Both paths materialize the same five outputs per batch (4 stage
+    // partials + layer merge), each costing exactly three exact-size
+    // copies (colptr/rowidx/vals), plus the partials Vec and the fiber
+    // merge's one-part Vec. The fiber merge of that one part sorts it in
+    // place, so it copies nothing. The scratch metric below subtracts this
+    // floor — it is the part workspace reuse is *supposed* to eliminate
+    // (tables, heaps, arenas, sort scratch).
+    let calls_per_batch = stages.len() as u64 + 1;
+    let output_floor = BATCHES * (3 * calls_per_batch + 2);
 
     let before = alloc_events();
     for _ in 0..BATCHES {

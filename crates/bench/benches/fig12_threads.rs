@@ -14,7 +14,7 @@
 //! the core count (the harness prints the available parallelism so the
 //! numbers can be judged in context).
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, BatchSize, BenchmarkId, Criterion};
 use spgemm_bench::{workloads, write_csv};
 use spgemm_sparse::ops::{block_range, col_block, row_block};
 use spgemm_sparse::par::{par_merge_hash_unsorted, par_spgemm_hash_unsorted, par_spgemm_heap};
@@ -61,7 +61,11 @@ fn bench_thread_sweep(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("merge-hash", nthreads), &nthreads, |b, &n| {
             let mut ws = arenas(n);
-            b.iter(|| par_merge_hash_unsorted::<PlusTimesF64>(&parts, &mut ws).unwrap());
+            b.iter_batched(
+                || parts.clone(),
+                |parts| par_merge_hash_unsorted::<PlusTimesF64>(parts, &mut ws).unwrap(),
+                BatchSize::LargeInput,
+            );
         });
     }
     group.finish();
@@ -79,34 +83,50 @@ fn speedup_csv() {
         "\nmeasured speedup vs 1 thread (available parallelism: {}):",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
-    let time = |f: &mut dyn FnMut()| {
+    // Each runner times its own kernel call, so per-call setup (arenas,
+    // the merge's owned copy of its parts) stays outside the measurement.
+    let time = |f: &mut dyn FnMut() -> f64| {
         let mut samples = [0.0f64; 3];
         for s in &mut samples {
-            let t0 = Instant::now();
-            f();
-            *s = t0.elapsed().as_secs_f64();
+            *s = f();
         }
         samples.sort_by(f64::total_cmp);
         samples[1]
     };
-    type Runner<'a> = (&'static str, Box<dyn FnMut(usize) + 'a>);
+    let timed = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    };
+    type Runner<'a> = (&'static str, Box<dyn FnMut(usize) -> f64 + 'a>);
     let mut runners: Vec<Runner> = vec![
         (
             "hash",
             Box::new(|n| {
-                par_spgemm_hash_unsorted::<PlusTimesF64>(&a, &a, &mut arenas(n)).unwrap();
+                let mut ws = arenas(n);
+                timed(&mut || {
+                    par_spgemm_hash_unsorted::<PlusTimesF64>(&a, &a, &mut ws).unwrap();
+                })
             }),
         ),
         (
             "heap",
             Box::new(|n| {
-                par_spgemm_heap::<PlusTimesF64>(&a, &a, &mut arenas(n)).unwrap();
+                let mut ws = arenas(n);
+                timed(&mut || {
+                    par_spgemm_heap::<PlusTimesF64>(&a, &a, &mut ws).unwrap();
+                })
             }),
         ),
         (
             "merge-hash",
             Box::new(|n| {
-                par_merge_hash_unsorted::<PlusTimesF64>(&parts, &mut arenas(n)).unwrap();
+                let mut ws = arenas(n);
+                let mut owned = Some(parts.clone());
+                timed(&mut || {
+                    let parts = owned.take().expect("one call");
+                    par_merge_hash_unsorted::<PlusTimesF64>(parts, &mut ws).unwrap();
+                })
             }),
         ),
     ];

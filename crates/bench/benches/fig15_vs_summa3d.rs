@@ -113,7 +113,7 @@ fn main() {
             .collect();
         let multiply = t0.elapsed();
         let t0 = Instant::now();
-        let (_merged, _) = kernels.merge_layer::<PlusTimesF64>(&partials).unwrap();
+        let (_merged, _) = kernels.merge_layer::<PlusTimesF64>(partials).unwrap();
         let merge = t0.elapsed();
         println!(
             "  {:<28} multiply {multiply:>10.2?}  merge {merge:>10.2?}  total {:>10.2?}",

@@ -48,14 +48,14 @@ fn run_generation(a: &CscMatrix<f64>, l: usize, stages: usize, strat: KernelStra
         }
         let t = Instant::now();
         let (merged, _) = strat
-            .merge_layer::<PlusTimesF64>(&partials)
+            .merge_layer::<PlusTimesF64>(partials)
             .expect("merge layer");
         merge_layer += t.elapsed().as_secs_f64();
         layer_pieces.push(merged);
     }
     let t = Instant::now();
     let (_final, _) = strat
-        .merge_fiber::<PlusTimesF64>(&layer_pieces)
+        .merge_fiber::<PlusTimesF64>(layer_pieces)
         .expect("merge fiber");
     let merge_fiber = t.elapsed().as_secs_f64();
     Times {

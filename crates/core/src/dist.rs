@@ -156,17 +156,86 @@ pub fn gather_pieces<T: Copy + Send + 'static>(
     gcols: usize,
 ) -> Option<CscMatrix<T>> {
     let gathered = rank.gather_to_root(world, 0, pieces, 0, Step::Other);
-    gathered.map(|all| {
-        let mut t = Triples::new(grows, gcols);
-        for rank_pieces in all {
-            for p in rank_pieces {
-                for (r, c, v) in p.local.iter() {
-                    t.push(r + p.row_offset as u32, p.global_cols[c], v);
-                }
-            }
+    gathered.map(|all| assemble_pieces(all.into_iter().flatten().collect(), grows, gcols))
+}
+
+/// Assemble disjoint pieces into the `grows × gcols` matrix.
+///
+/// The result equals the `Triples` round trip (global triples, then
+/// [`Triples::to_csc`]) bit for bit, `sorted` flag included, without its
+/// per-entry copies:
+///
+/// * one sorted piece covering the whole matrix in identity order is the
+///   matrix, and moves through;
+/// * sorted pieces are copied straight into place: nonzeros are counted per
+///   global column, then the pieces are visited in `row_offset` order, so
+///   each column's row segments arrive ascending;
+/// * an unsorted piece, or segments that do not come out strictly
+///   ascending (overlapping pieces), take the `Triples` path.
+fn assemble_pieces<T: Copy>(mut pieces: Vec<CPiece<T>>, grows: usize, gcols: usize) -> CscMatrix<T> {
+    if let [only] = pieces.as_slice() {
+        let identity = only.row_offset == 0
+            && only.local.nrows() == grows
+            && only.local.ncols() == gcols
+            && only.global_cols.iter().enumerate().all(|(i, &g)| g as usize == i);
+        if identity && only.local.is_sorted() {
+            return pieces.pop().expect("one piece").local;
         }
-        t.to_csc()
-    })
+    }
+    if pieces.iter().all(|p| p.local.is_sorted()) {
+        if let Some(c) = assemble_sorted(&pieces, grows, gcols) {
+            return c;
+        }
+    }
+    let nnz = pieces.iter().map(|p| p.local.nnz()).sum();
+    let mut t = Triples::with_capacity(grows, gcols, nnz);
+    for p in &pieces {
+        for (r, c, v) in p.local.iter() {
+            t.push(r + p.row_offset as u32, p.global_cols[c], v);
+        }
+    }
+    t.to_csc()
+}
+
+/// Direct assembly of sorted pieces; `None` when some column's entries
+/// would not be strictly ascending.
+fn assemble_sorted<T: Copy>(pieces: &[CPiece<T>], grows: usize, gcols: usize) -> Option<CscMatrix<T>> {
+    let mut colptr = vec![0usize; gcols + 1];
+    for p in pieces {
+        for (c, &g) in p.global_cols.iter().enumerate() {
+            colptr[g as usize + 1] += p.local.col_nnz(c);
+        }
+    }
+    for j in 0..gcols {
+        colptr[j + 1] += colptr[j];
+    }
+    let nnz = colptr[gcols];
+    let Some(fill) = pieces.iter().find_map(|p| p.local.vals().first().copied()) else {
+        return Some(CscMatrix::zero(grows, gcols));
+    };
+    let mut rowidx = vec![0u32; nnz];
+    let mut vals = vec![fill; nnz];
+    let mut next = colptr[..gcols].to_vec();
+    let mut order: Vec<&CPiece<T>> = pieces.iter().collect();
+    order.sort_by_key(|p| p.row_offset);
+    for p in order {
+        let shift = p.row_offset as u32;
+        for (c, &g) in p.global_cols.iter().enumerate() {
+            let (rows, vs) = p.local.col(c);
+            let Some(&first) = rows.first() else { continue };
+            let g = g as usize;
+            let at = next[g];
+            if at > colptr[g] && rowidx[at - 1] >= first + shift {
+                return None;
+            }
+            for (dst, &r) in rowidx[at..at + rows.len()].iter_mut().zip(rows) {
+                *dst = r + shift;
+            }
+            vals[at..at + vs.len()].copy_from_slice(vs);
+            next[g] = at + rows.len();
+        }
+    }
+    Some(CscMatrix::from_parts_unchecked(grows, gcols, colptr, rowidx, vals, true))
 }
 
 /// Distributed transpose: from an A-style distributed `M`, build the

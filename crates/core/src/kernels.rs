@@ -71,10 +71,10 @@ impl KernelStrategy {
     /// Merge-Layer: combine the per-stage partial products within a layer.
     pub fn merge_layer<S: Semiring>(
         self,
-        parts: &[CscMatrix<S::T>],
+        parts: Vec<CscMatrix<S::T>>,
     ) -> spgemm_sparse::Result<(CscMatrix<S::T>, WorkStats)> {
         match self {
-            KernelStrategy::Previous => merge_heap::<S>(parts),
+            KernelStrategy::Previous => merge_heap::<S>(&parts),
             KernelStrategy::New => merge_hash_unsorted::<S>(parts),
         }
     }
@@ -84,10 +84,10 @@ impl KernelStrategy {
     /// (Sec. IV-D keeps exactly this one result sorted).
     pub fn merge_fiber<S: Semiring>(
         self,
-        parts: &[CscMatrix<S::T>],
+        parts: Vec<CscMatrix<S::T>>,
     ) -> spgemm_sparse::Result<(CscMatrix<S::T>, WorkStats)> {
         match self {
-            KernelStrategy::Previous => merge_heap::<S>(parts),
+            KernelStrategy::Previous => merge_heap::<S>(&parts),
             KernelStrategy::New => merge_hash_sorted::<S>(parts),
         }
     }
@@ -214,10 +214,11 @@ impl<T: Copy> LocalKernels<T> {
     /// Merge-Layer through the shared workspace.
     pub fn merge_layer<S: Semiring<T = T>>(
         &mut self,
-        parts: &[CscMatrix<T>],
+        parts: Vec<CscMatrix<T>>,
     ) -> spgemm_sparse::Result<(CscMatrix<T>, WorkStats)> {
+        let nparts = parts.len();
         let (c, stats) = match self.strategy {
-            KernelStrategy::Previous => merge_heap_with_workspace::<S>(parts, &mut self.workspace)?,
+            KernelStrategy::Previous => merge_heap_with_workspace::<S>(&parts, &mut self.workspace)?,
             KernelStrategy::New => {
                 merge_hash_unsorted_with_workspace::<S>(parts, &mut self.workspace)?
             }
@@ -227,7 +228,7 @@ impl<T: Copy> LocalKernels<T> {
             self.strategy.intermediate_sortedness(),
             "Merge-Layer output ({}, {} parts)",
             self.strategy.name(),
-            parts.len()
+            nparts
         );
         self.totals.merge(stats);
         Ok((c, stats))
@@ -236,10 +237,11 @@ impl<T: Copy> LocalKernels<T> {
     /// Merge-Fiber through the shared workspace (sorted output).
     pub fn merge_fiber<S: Semiring<T = T>>(
         &mut self,
-        parts: &[CscMatrix<T>],
+        parts: Vec<CscMatrix<T>>,
     ) -> spgemm_sparse::Result<(CscMatrix<T>, WorkStats)> {
+        let nparts = parts.len();
         let (c, stats) = match self.strategy {
-            KernelStrategy::Previous => merge_heap_with_workspace::<S>(parts, &mut self.workspace)?,
+            KernelStrategy::Previous => merge_heap_with_workspace::<S>(&parts, &mut self.workspace)?,
             KernelStrategy::New => {
                 merge_hash_sorted_with_workspace::<S>(parts, &mut self.workspace)?
             }
@@ -249,7 +251,7 @@ impl<T: Copy> LocalKernels<T> {
             Sortedness::Sorted,
             "Merge-Fiber output ({}, {} parts)",
             self.strategy.name(),
-            parts.len()
+            nparts
         );
         self.totals.merge(stats);
         Ok((c, stats))
@@ -306,13 +308,14 @@ impl<T: Copy> LocalKernels<T> {
     pub fn run_merge_layer<S: Semiring<T = T>>(
         &mut self,
         rank: &mut Rank,
-        parts: &[CscMatrix<T>],
+        parts: Vec<CscMatrix<T>>,
     ) -> spgemm_sparse::Result<(CscMatrix<T>, WorkStats)> {
         let t0 = Instant::now();
+        let nparts = parts.len();
         let (c, stats) = if self.parallel() {
             let (c, stats, bal) = match self.strategy {
                 KernelStrategy::Previous => {
-                    par_merge_heap::<S>(parts, &mut self.thread_workspaces)?
+                    par_merge_heap::<S>(&parts, &mut self.thread_workspaces)?
                 }
                 KernelStrategy::New => {
                     par_merge_hash_unsorted::<S>(parts, &mut self.thread_workspaces)?
@@ -323,7 +326,7 @@ impl<T: Copy> LocalKernels<T> {
                 self.strategy.intermediate_sortedness(),
                 "parallel Merge-Layer output ({}, {} parts)",
                 self.strategy.name(),
-                parts.len()
+                nparts
             );
             self.balance.merge(bal);
             self.totals.merge(stats);
@@ -340,13 +343,14 @@ impl<T: Copy> LocalKernels<T> {
     pub fn run_merge_fiber<S: Semiring<T = T>>(
         &mut self,
         rank: &mut Rank,
-        parts: &[CscMatrix<T>],
+        parts: Vec<CscMatrix<T>>,
     ) -> spgemm_sparse::Result<(CscMatrix<T>, WorkStats)> {
         let t0 = Instant::now();
+        let nparts = parts.len();
         let (c, stats) = if self.parallel() {
             let (c, stats, bal) = match self.strategy {
                 KernelStrategy::Previous => {
-                    par_merge_heap::<S>(parts, &mut self.thread_workspaces)?
+                    par_merge_heap::<S>(&parts, &mut self.thread_workspaces)?
                 }
                 KernelStrategy::New => {
                     par_merge_hash_sorted::<S>(parts, &mut self.thread_workspaces)?
@@ -357,7 +361,7 @@ impl<T: Copy> LocalKernels<T> {
                 Sortedness::Sorted,
                 "parallel Merge-Fiber output ({}, {} parts)",
                 self.strategy.name(),
-                parts.len()
+                nparts
             );
             self.balance.merge(bal);
             self.totals.merge(stats);
@@ -415,11 +419,11 @@ mod tests {
         let parts: Vec<_> = (0..4)
             .map(|s| er_random::<PlusTimesU64>(40, 20, 3, 10 + s).map(|_| 1u64))
             .collect();
-        let (m_prev, _) = KernelStrategy::Previous.merge_layer::<PlusTimesU64>(&parts).unwrap();
-        let (m_new, _) = KernelStrategy::New.merge_layer::<PlusTimesU64>(&parts).unwrap();
+        let (m_prev, _) = KernelStrategy::Previous.merge_layer::<PlusTimesU64>(parts.clone()).unwrap();
+        let (m_new, _) = KernelStrategy::New.merge_layer::<PlusTimesU64>(parts.clone()).unwrap();
         assert!(m_prev.eq_modulo_order(&m_new));
-        let (f_prev, _) = KernelStrategy::Previous.merge_fiber::<PlusTimesU64>(&parts).unwrap();
-        let (f_new, _) = KernelStrategy::New.merge_fiber::<PlusTimesU64>(&parts).unwrap();
+        let (f_prev, _) = KernelStrategy::Previous.merge_fiber::<PlusTimesU64>(parts.clone()).unwrap();
+        let (f_new, _) = KernelStrategy::New.merge_fiber::<PlusTimesU64>(parts).unwrap();
         assert!(f_prev.eq_modulo_order(&f_new));
         assert!(f_new.is_sorted(), "final merge-fiber output must be sorted");
         assert!(f_prev.is_sorted());
@@ -447,11 +451,11 @@ mod tests {
                 assert_eq!(s_ws.flops, s_ref.flops);
                 assert_eq!(s_ws.nnz_out, s_ref.nnz_out);
                 let parts = [c_ws.clone(), c_ws];
-                let (m_ws, _) = engine.merge_layer::<PlusTimesU64>(&parts).unwrap();
-                let (m_ref, _) = strat.merge_layer::<PlusTimesU64>(&parts).unwrap();
+                let (m_ws, _) = engine.merge_layer::<PlusTimesU64>(parts.to_vec()).unwrap();
+                let (m_ref, _) = strat.merge_layer::<PlusTimesU64>(parts.to_vec()).unwrap();
                 assert_eq!(m_ws.rowidx(), m_ref.rowidx());
                 assert_eq!(m_ws.vals(), m_ref.vals());
-                let (f_ws, _) = engine.merge_fiber::<PlusTimesU64>(&parts).unwrap();
+                let (f_ws, _) = engine.merge_fiber::<PlusTimesU64>(parts.to_vec()).unwrap();
                 assert!(f_ws.is_sorted());
             }
         }
@@ -485,7 +489,7 @@ mod tests {
         let b = er_random::<PlusTimesU64>(60, 60, 6, 4).map(|_| 1u64);
         let (c1, _) = KernelStrategy::New.local_multiply::<PlusTimesU64>(&a, &b).unwrap();
         let (c2, _) = KernelStrategy::New.local_multiply::<PlusTimesU64>(&b, &a).unwrap();
-        let (merged, _) = KernelStrategy::New.merge_layer::<PlusTimesU64>(&[c1, c2]).unwrap();
+        let (merged, _) = KernelStrategy::New.merge_layer::<PlusTimesU64>(vec![c1, c2]).unwrap();
         assert!(merged.nnz() > 0);
     }
 }

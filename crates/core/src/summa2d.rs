@@ -292,7 +292,7 @@ impl<T: Copy> StageAccumulator<T> {
                     Some(acc) => {
                         let in_bytes = acc.modeled_bytes(r) + partial.modeled_bytes(r);
                         let (merged, _mstats) =
-                            kernels.run_merge_layer::<S>(rank, &[acc, partial])?;
+                            kernels.run_merge_layer::<S>(rank, vec![acc, partial])?;
                         mem.free(in_bytes);
                         mem.alloc(merged.modeled_bytes(r));
                         self.running = Some(merged);
@@ -320,7 +320,7 @@ impl<T: Copy> StageAccumulator<T> {
                 // is modeled as streaming (inputs released column-by-column as
                 // they are consumed), so the merged output replaces rather
                 // than stacks on the partials.
-                let (merged, _stats) = kernels.run_merge_layer::<S>(rank, &self.partials)?;
+                let (merged, _stats) = kernels.run_merge_layer::<S>(rank, self.partials)?;
                 mem.free(self.partial_bytes);
                 mem.alloc(merged.modeled_bytes(r));
                 Ok(merged)

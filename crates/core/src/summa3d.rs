@@ -85,19 +85,25 @@ pub fn summa3d_batch<S: Semiring>(
 
     // ColSplit D̃⁽ᵏ⁾ into l column pieces (Alg. 2 line 4). Piece k' also
     // carries its global column ids so fiber peers can verify conformance.
+    // ColSplit replaces D with same-size pieces (streaming residency model,
+    // consistent with Alg. 3's unmerged-high-water-mark accounting). With
+    // one layer the only piece is all of D̃, which moves as is.
     let l = grid.l;
     let mut parts: Vec<(CscMatrix<S::T>, Vec<u32>)> = Vec::with_capacity(l);
     let mut part_bytes: Vec<usize> = Vec::with_capacity(l);
-    for kk in 0..l {
-        let cols = piece_offsets[kk]..piece_offsets[kk + 1];
-        let piece = col_block(&d, cols.clone());
-        part_bytes.push(piece.modeled_bytes(r));
-        let gcols = batch_global_cols[cols].to_vec();
-        parts.push((piece, gcols));
+    if l == 1 {
+        part_bytes.push(d.modeled_bytes(r));
+        parts.push((d, batch_global_cols.to_vec()));
+    } else {
+        for kk in 0..l {
+            let cols = piece_offsets[kk]..piece_offsets[kk + 1];
+            let piece = col_block(&d, cols.clone());
+            part_bytes.push(piece.modeled_bytes(r));
+            let gcols = batch_global_cols[cols].to_vec();
+            parts.push((piece, gcols));
+        }
+        drop(d);
     }
-    // ColSplit replaces D with same-size pieces (streaming residency model,
-    // consistent with Alg. 3's unmerged-high-water-mark accounting).
-    drop(d);
 
     // AllToAll-Fiber (Alg. 2 line 5). In overlapped mode the exchange is
     // posted nonblocking — its completion then shares the timeline with
@@ -136,7 +142,7 @@ pub fn summa3d_batch<S: Semiring>(
             );
         }
     }
-    let (merged, _stats) = kernels.run_merge_fiber::<S>(rank, &pieces)?;
+    let (merged, _stats) = kernels.run_merge_fiber::<S>(rank, pieces)?;
     mem.free(recv_bytes);
     mem.alloc(merged.modeled_bytes(r));
     spgemm_sparse::debug_validate!(

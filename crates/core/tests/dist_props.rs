@@ -1,21 +1,22 @@
 //! Property tests for the distribution layers: 3D scatter → gather
 //! round-trips and `transpose_to_bstyle` slice conformance over every
-//! valid `(p, l)` pair, plus the 1.5D dense-stripe layout — stripe
+//! valid `(p, l)` pair, the gather of batched `C` pieces against a
+//! `Triples` assembly oracle, plus the 1.5D dense-stripe layout — stripe
 //! partition round-trips and full scatter → gather through the ColA /
 //! InnerABC drivers (`C = I·B` must reproduce `B` bit-for-bit) — over
 //! arbitrary (including non-square and degenerate) matrix shapes.
 
 use proptest::prelude::*;
 use spgemm_core::dist::{
-    gather_dist, scatter, sub_block, transpose_to_bstyle, DistKind,
+    gather_dist, gather_pieces, scatter, sub_block, transpose_to_bstyle, CPiece, DistKind,
 };
 use spgemm_core::{run_spmm, AlgorithmFamily, RunConfig};
 use spgemm_simgrid::grid::valid_layer_counts;
 use spgemm_simgrid::{run_ranks, Grid3D, Machine};
 use spgemm_sparse::gen::er_random;
-use spgemm_sparse::ops::block_range;
+use spgemm_sparse::ops::{block_range, extract_cols, row_block};
 use spgemm_sparse::semiring::PlusTimesF64;
-use spgemm_sparse::{CscMatrix, DenseBlock};
+use spgemm_sparse::{CscMatrix, DenseBlock, Triples};
 use std::sync::Arc;
 
 const PS: [usize; 6] = [1, 4, 8, 9, 12, 16];
@@ -106,6 +107,145 @@ proptest! {
             back.eq_modulo_order(&expect),
             "transpose mismatch: p={p} l={l} {nrows}x{ncols}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Gather of C pieces.
+// ---------------------------------------------------------------------------
+
+/// `m` with every column's entries reversed.
+fn reversed(m: &CscMatrix<f64>) -> CscMatrix<f64> {
+    let (mut rows, mut vals) = (Vec::with_capacity(m.nnz()), Vec::with_capacity(m.nnz()));
+    for j in 0..m.ncols() {
+        let (rs, vs) = m.col(j);
+        rows.extend(rs.iter().rev());
+        vals.extend(vs.iter().rev());
+    }
+    CscMatrix::from_parts(m.nrows(), m.ncols(), m.colptr().to_vec(), rows, vals).unwrap()
+}
+
+/// Rank `id`'s `C` pieces of `global` on a `(p, l)` grid, shaped like a
+/// batched multiply's output: the A-style block (rows by `i`, columns by
+/// `(j, k)`) with its columns dealt round-robin into `b` batches, one
+/// piece per batch. `empty_piece` appends a piece with no columns;
+/// `unsorted` reverses the columns of the last rank's first piece.
+fn rank_pieces(
+    global: &CscMatrix<f64>,
+    (p, l, b): (usize, usize, usize),
+    id: usize,
+    empty_piece: bool,
+    unsorted: bool,
+) -> Vec<CPiece<f64>> {
+    let grid = Grid3D::for_rank_id(id, p, l);
+    let rows = block_range(global.nrows(), grid.pr, grid.i);
+    let cols = sub_block(global.ncols(), grid.pr, grid.j, grid.l, grid.k);
+    let block = row_block(global, rows.clone());
+    let mut pieces: Vec<CPiece<f64>> = (0..b)
+        .map(|t| {
+            let gcols: Vec<usize> = cols.clone().filter(|c| (c - cols.start) % b == t).collect();
+            CPiece {
+                local: extract_cols(&block, &gcols),
+                row_offset: rows.start,
+                global_cols: gcols.iter().map(|&c| c as u32).collect(),
+            }
+        })
+        .collect();
+    if unsorted && id == p - 1 {
+        pieces[0].local = reversed(&pieces[0].local);
+    }
+    if empty_piece {
+        pieces.push(CPiece {
+            local: CscMatrix::zero(rows.len(), 0),
+            row_offset: rows.start,
+            global_cols: Vec::new(),
+        });
+    }
+    pieces
+}
+
+/// The assembly oracle: every piece's entries as global triples, in rank
+/// and piece order, converted to CSC.
+fn triples_assembly(pieces: &[CPiece<f64>], grows: usize, gcols: usize) -> CscMatrix<f64> {
+    let mut t = Triples::new(grows, gcols);
+    for p in pieces {
+        for (r, c, v) in p.local.iter() {
+            t.push(r + p.row_offset as u32, p.global_cols[c], v);
+        }
+    }
+    t.to_csc()
+}
+
+const GATHER_PS: [usize; 4] = [1, 4, 8, 16];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `gather_pieces` assembles batched pieces from every valid grid into
+    /// exactly the matrix the `Triples` assembly builds — same entries,
+    /// same order, same `sorted` flag — including empty pieces, empty
+    /// matrices and an unsorted piece (which takes the `Triples` path).
+    #[test]
+    fn gather_pieces_matches_triples_assembly(
+        pi in 0usize..4,
+        li in 0usize..4,
+        nrows in 1usize..50,
+        ncols in 1usize..50,
+        deg in 0usize..4,
+        seed in 0u64..1_000,
+        bi in 0usize..2,
+        empty_piece in 0usize..2,
+        unsorted in 0usize..2,
+    ) {
+        let p = GATHER_PS[pi];
+        let ls = valid_layer_counts(p);
+        let l = ls[li % ls.len()];
+        let b = [1, 3][bi];
+        let (empty_piece, unsorted) = (empty_piece == 1, unsorted == 1);
+        let global = er_random::<PlusTimesF64>(nrows, ncols, deg, seed);
+        let all: Vec<CPiece<f64>> = (0..p)
+            .flat_map(|id| rank_pieces(&global, (p, l, b), id, empty_piece, unsorted))
+            .collect();
+        let oracle = triples_assembly(&all, nrows, ncols);
+        let g2 = global.clone();
+        let results = run_ranks(p, Machine::knl_mini(), move |rank| {
+            let pieces = rank_pieces(&g2, (p, l, b), rank.rank(), empty_piece, unsorted);
+            let world = Grid3D::new(rank, l).world;
+            gather_pieces(rank, &world, pieces, nrows, ncols)
+        });
+        let back = results[0].clone().expect("root gathers");
+        prop_assert_eq!(&back, &oracle, "p={} l={} b={}", p, l, b);
+        prop_assert!(back.check_sorted() == back.is_sorted());
+        prop_assert!(back.eq_modulo_order(&global));
+    }
+}
+
+/// One sorted piece covering the whole matrix in identity column order is
+/// the gathered matrix: it moves through without a copy. Any other single
+/// piece (permuted columns, unsorted entries) is assembled.
+#[test]
+fn whole_matrix_identity_piece_moves_through() {
+    let global = er_random::<PlusTimesF64>(37, 23, 3, 5);
+    let (m, n) = (global.nrows(), global.ncols());
+    let permuted: Vec<u32> = (0..n as u32).rev().collect();
+    let cases = [
+        (global.clone(), (0..n as u32).collect::<Vec<u32>>(), true),
+        (global.clone(), permuted, false),
+        (reversed(&global), (0..n as u32).collect(), false),
+    ];
+    for (local, global_cols, moves) in cases {
+        let piece = CPiece { local, row_offset: 0, global_cols };
+        let oracle = triples_assembly(std::slice::from_ref(&piece), m, n);
+        let results = run_ranks(1, Machine::knl_mini(), move |rank| {
+            let piece = piece.clone();
+            let ptr = piece.local.rowidx().as_ptr() as usize;
+            let world = Grid3D::new(rank, 1).world;
+            let c = gather_pieces(rank, &world, vec![piece], m, n).expect("root");
+            (c.rowidx().as_ptr() as usize == ptr, c)
+        });
+        let (moved, c) = results.into_iter().next().unwrap();
+        assert_eq!(c, oracle);
+        assert_eq!(moved, moves, "identity piece must move; others are assembled");
     }
 }
 

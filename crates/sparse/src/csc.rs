@@ -243,29 +243,52 @@ impl<T: Copy> CscMatrix<T> {
     /// conversions before dedup) end up adjacent; the `sorted` flag is only
     /// set if rows are *strictly* ascending (no duplicates), since that is
     /// the invariant downstream kernels rely on.
+    ///
+    /// One set of scratch buffers serves every column. Columns that are
+    /// already strictly ascending are left alone (their sort is the
+    /// identity); the rest are permuted by `sort_unstable_by_key` on the
+    /// row, which also fixes the order among duplicate rows that
+    /// [`Triples::to_csc_dedup`] later sums.
     pub fn sort_columns(&mut self) {
         if self.sorted {
             return;
         }
         let mut perm: Vec<u32> = Vec::new();
+        let mut new_rows: Vec<u32> = Vec::new();
+        let mut new_vals: Vec<T> = Vec::new();
         for j in 0..self.ncols {
-            let lo = self.colptr[j];
-            let hi = self.colptr[j + 1];
-            if hi - lo <= 1 {
+            let seg = self.colptr[j]..self.colptr[j + 1];
+            let rows = &self.rowidx[seg.clone()];
+            if rows.windows(2).all(|w| w[0] < w[1]) {
                 continue;
             }
-            let seg = lo..hi;
             perm.clear();
-            perm.extend(0..(hi - lo) as u32);
-            let rows = &self.rowidx[seg.clone()];
+            perm.extend(0..rows.len() as u32);
             perm.sort_unstable_by_key(|&k| rows[k as usize]);
-            let new_rows: Vec<u32> = perm.iter().map(|&k| rows[k as usize]).collect();
+            new_rows.clear();
+            new_rows.extend(perm.iter().map(|&k| rows[k as usize]));
             let old_vals = &self.vals[seg.clone()];
-            let new_vals: Vec<T> = perm.iter().map(|&k| old_vals[k as usize]).collect();
+            new_vals.clear();
+            new_vals.extend(perm.iter().map(|&k| old_vals[k as usize]));
             self.rowidx[seg.clone()].copy_from_slice(&new_rows);
             self.vals[seg].copy_from_slice(&new_vals);
         }
         self.sorted = self.check_sorted();
+    }
+
+    /// Column pointers plus mutable row indices and values, for kernels
+    /// that reorder entries within columns in place. The caller keeps each
+    /// column's entries inside its `colptr` segment and then restates the
+    /// order contract with [`Self::mark_sorted`].
+    pub(crate) fn entries_mut(&mut self) -> (&[usize], &mut [u32], &mut [T]) {
+        (&self.colptr, &mut self.rowidx, &mut self.vals)
+    }
+
+    /// Record that every column is now strictly ascending (debug builds
+    /// verify).
+    pub(crate) fn mark_sorted(&mut self) {
+        debug_assert!(self.check_sorted());
+        self.sorted = true;
     }
 
     /// A sorted copy of this matrix (no-op clone if already sorted).

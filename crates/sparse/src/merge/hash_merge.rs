@@ -4,6 +4,10 @@
 //! a reusable hash accumulator. Inputs may be unsorted (they are, coming
 //! out of the unsorted-hash SpGEMM); output is unsorted unless the sorted
 //! variant is requested (final Merge-Fiber only).
+//!
+//! One part has nothing to combine: the entry points hand it to
+//! [`super::single`], which moves it through or sorts it in place, and it
+//! reaches the accumulator only if some column holds a duplicate row.
 
 use crate::csc::CscMatrix;
 use crate::semiring::Semiring;
@@ -13,59 +17,51 @@ use crate::spgemm::{lg, WorkStats, C_DRAIN, C_MERGE_HASH, C_SORT};
 use crate::Result;
 
 use super::common_shape;
+use crate::par::merge_hash_with;
 
 /// Merge (⊕-sum) same-shaped matrices; unsorted output columns.
-pub fn merge_hash_unsorted<S: Semiring>(parts: &[CscMatrix<S::T>]) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    merge_hash_impl::<S>(parts, false, &mut SpGemmWorkspace::new())
+///
+/// Takes the parts by value: a single part is moved through untouched
+/// (see [`super::single`]).
+pub fn merge_hash_unsorted<S: Semiring>(parts: Vec<CscMatrix<S::T>>) -> Result<(CscMatrix<S::T>, WorkStats)> {
+    merge_hash_unsorted_with_workspace::<S>(parts, &mut SpGemmWorkspace::new())
 }
 
 /// Merge (⊕-sum) same-shaped matrices; sorted output columns.
 ///
 /// Used for the final Merge-Fiber, after which the application sees a
-/// conventionally sorted matrix.
-pub fn merge_hash_sorted<S: Semiring>(parts: &[CscMatrix<S::T>]) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    merge_hash_impl::<S>(parts, true, &mut SpGemmWorkspace::new())
+/// conventionally sorted matrix. A single unsorted part is sorted in
+/// place instead of re-hashed (see [`super::single`]).
+pub fn merge_hash_sorted<S: Semiring>(parts: Vec<CscMatrix<S::T>>) -> Result<(CscMatrix<S::T>, WorkStats)> {
+    merge_hash_sorted_with_workspace::<S>(parts, &mut SpGemmWorkspace::new())
 }
 
 /// [`merge_hash_unsorted`] against caller-owned reusable scratch.
 pub fn merge_hash_unsorted_with_workspace<S: Semiring>(
-    parts: &[CscMatrix<S::T>],
+    parts: Vec<CscMatrix<S::T>>,
     ws: &mut SpGemmWorkspace<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    merge_hash_impl::<S>(parts, false, ws)
+    merge_hash_with::<S>(parts, false, std::slice::from_mut(ws)).map(|(c, stats, _)| (c, stats))
 }
 
 /// [`merge_hash_sorted`] against caller-owned reusable scratch.
 pub fn merge_hash_sorted_with_workspace<S: Semiring>(
-    parts: &[CscMatrix<S::T>],
+    parts: Vec<CscMatrix<S::T>>,
     ws: &mut SpGemmWorkspace<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    merge_hash_impl::<S>(parts, true, ws)
+    merge_hash_with::<S>(parts, true, std::slice::from_mut(ws)).map(|(c, stats, _)| (c, stats))
 }
 
-fn merge_hash_impl<S: Semiring>(
+/// The accumulator: column `j` of the output from column `j` of every
+/// part. Applies to any number of parts; the public entry points route a
+/// single part through [`super::single`] first, and come here only when
+/// it holds a duplicate row.
+pub(crate) fn merge_hash_accumulate<S: Semiring>(
     parts: &[CscMatrix<S::T>],
     sort: bool,
     ws: &mut SpGemmWorkspace<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
     let (nrows, ncols) = common_shape(parts)?;
-    // Single input needing no sort: merging is the identity. The clone
-    // bypasses the arenas, so no workspace traffic to meter. (A single
-    // *unsorted* input falls through to the general path below: draining
-    // the accumulator sorted through the arenas is allocation-free,
-    // unlike an in-place per-column sort of the clone.)
-    if parts.len() == 1 && (!sort || parts[0].is_sorted()) {
-        let only = parts[0].clone();
-        let stats = WorkStats {
-            flops: 0,
-            nnz_out: only.nnz() as u64,
-            work_units: 0.0,
-            ..WorkStats::default()
-        };
-        let expected = if sort { crate::Sortedness::Sorted } else { crate::Sortedness::Unsorted };
-        crate::debug_validate!(only, expected, "hash-merge output (single part)");
-        return Ok((only, stats));
-    }
     let allocs_before = ws.total_allocs();
     let total_nnz: usize = parts.iter().map(|p| p.nnz()).sum();
     ws.prepare_output(ncols, total_nnz);
@@ -137,14 +133,14 @@ mod tests {
     #[test]
     fn matches_triple_sum_oracle() {
         let parts = parts_u64();
-        let (merged, _) = merge_hash_unsorted::<PlusTimesU64>(&parts).unwrap();
+        let (merged, _) = merge_hash_unsorted::<PlusTimesU64>(parts.clone()).unwrap();
         assert!(merged.eq_modulo_order(&oracle(&parts)));
     }
 
     #[test]
     fn sorted_variant_is_sorted_and_equal() {
         let parts = parts_u64();
-        let (merged, _) = merge_hash_sorted::<PlusTimesU64>(&parts).unwrap();
+        let (merged, _) = merge_hash_sorted::<PlusTimesU64>(parts.clone()).unwrap();
         assert!(merged.is_sorted());
         assert!(merged.check_sorted());
         assert!(merged.eq_modulo_order(&oracle(&parts)));
@@ -153,7 +149,7 @@ mod tests {
     #[test]
     fn single_part_identity() {
         let p = er_random::<PlusTimesF64>(20, 20, 4, 9);
-        let (merged, stats) = merge_hash_unsorted::<PlusTimesF64>(std::slice::from_ref(&p)).unwrap();
+        let (merged, stats) = merge_hash_unsorted::<PlusTimesF64>(vec![p.clone()]).unwrap();
         assert!(merged.eq_modulo_order(&p));
         assert_eq!(stats.nnz_out, p.nnz() as u64);
     }
@@ -161,13 +157,13 @@ mod tests {
     #[test]
     fn empty_input_list_is_error() {
         let parts: Vec<CscMatrix<f64>> = vec![];
-        assert!(merge_hash_unsorted::<PlusTimesF64>(&parts).is_err());
+        assert!(merge_hash_unsorted::<PlusTimesF64>(parts).is_err());
     }
 
     #[test]
     fn shape_mismatch_is_error() {
         let parts = vec![CscMatrix::<f64>::zero(2, 2), CscMatrix::<f64>::zero(3, 2)];
-        assert!(merge_hash_unsorted::<PlusTimesF64>(&parts).is_err());
+        assert!(merge_hash_unsorted::<PlusTimesF64>(parts).is_err());
     }
 
     #[test]
@@ -178,7 +174,7 @@ mod tests {
         t2.push(0, 0, 2.5);
         t2.push(1, 0, 1.0);
         let parts = vec![t1.to_csc(), t2.to_csc()];
-        let (m, _) = merge_hash_sorted::<PlusTimesF64>(&parts).unwrap();
+        let (m, _) = merge_hash_sorted::<PlusTimesF64>(parts).unwrap();
         assert_eq!(m.col(0), (&[0u32, 1][..], &[4.0, 1.0][..]));
     }
 
@@ -188,7 +184,7 @@ mod tests {
             CscMatrix::from_parts(3, 1, vec![0, 3], vec![2, 0, 1], vec![1.0, 2.0, 3.0]).unwrap();
         assert!(!unsorted.is_sorted());
         let parts = vec![unsorted.clone(), unsorted];
-        let (m, _) = merge_hash_sorted::<PlusTimesF64>(&parts).unwrap();
+        let (m, _) = merge_hash_sorted::<PlusTimesF64>(parts).unwrap();
         assert_eq!(m.col(0), (&[0u32, 1, 2][..], &[4.0, 6.0, 2.0][..]));
     }
 }

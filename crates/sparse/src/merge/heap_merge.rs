@@ -101,7 +101,7 @@ mod tests {
             .map(|s| er_random::<PlusTimesU64>(40, 25, 3, 200 + s).map(|_| 1u64))
             .collect();
         let (a, _) = merge_heap::<PlusTimesU64>(&parts).unwrap();
-        let (b, _) = merge_hash_sorted::<PlusTimesU64>(&parts).unwrap();
+        let (b, _) = merge_hash_sorted::<PlusTimesU64>(parts).unwrap();
         assert!(a.eq_modulo_order(&b));
         assert!(a.is_sorted());
     }
@@ -120,7 +120,7 @@ mod tests {
             .map(|s| er_random::<PlusTimesF64>(100, 50, 4, 300 + s))
             .collect();
         let (_, s_heap) = merge_heap::<PlusTimesF64>(&parts).unwrap();
-        let (_, s_hash) = merge_hash_sorted::<PlusTimesF64>(&parts).unwrap();
+        let (_, s_hash) = merge_hash_sorted::<PlusTimesF64>(parts).unwrap();
         assert!(
             s_heap.work_units > s_hash.work_units,
             "heap {} vs hash {}",

@@ -13,9 +13,14 @@
 //! * [`hash_merge::merge_hash_sorted`] — same, plus a final per-column sort;
 //!   used for the very last Merge-Fiber so the final output is sorted
 //!   (Sec. IV-D keeps only this output sorted).
+//!
+//! The hash merges take their parts by value. A single part has nothing
+//! to combine: it is moved through, or sorted in place when the output
+//! must be sorted ([`single`]).
 
 pub mod hash_merge;
 pub mod heap_merge;
+pub mod single;
 
 pub use hash_merge::{
     merge_hash_sorted, merge_hash_sorted_with_workspace, merge_hash_unsorted,

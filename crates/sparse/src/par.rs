@@ -30,10 +30,9 @@
 //! the serial run exactly.
 
 use crate::csc::CscMatrix;
-use crate::merge::{
-    merge_hash_sorted_with_workspace, merge_hash_unsorted_with_workspace,
-    merge_heap_with_workspace,
-};
+use crate::merge::hash_merge::merge_hash_accumulate;
+use crate::merge::single::{merge_single, SingleMerge};
+use crate::merge::merge_heap_with_workspace;
 use crate::ops::{col_block, col_concat};
 use crate::semiring::Semiring;
 use crate::spgemm::workspace::SpGemmWorkspace;
@@ -180,22 +179,45 @@ where
     W: Copy + Send,
     F: Fn(Range<usize>, &mut SpGemmWorkspace<W>) -> Result<(R, WorkStats)> + Sync,
 {
+    let inputs = vec![(); ranges.len()];
+    run_ranges_with(ranges, inputs, workspaces, |range, (), ws| run(range, ws))
+}
+
+/// [`run_ranges`] with one owned input per range (for instance the
+/// disjoint `&mut` slices of an in-place kernel), handed to its thread.
+pub(crate) fn run_ranges_with<I, R, W, F>(
+    ranges: &[Range<usize>],
+    inputs: Vec<I>,
+    workspaces: &mut [SpGemmWorkspace<W>],
+    run: F,
+) -> Result<(Vec<R>, WorkStats, RangeBalance)>
+where
+    I: Send,
+    R: Send,
+    W: Copy + Send,
+    F: Fn(Range<usize>, I, &mut SpGemmWorkspace<W>) -> Result<(R, WorkStats)> + Sync,
+{
+    debug_assert_eq!(ranges.len(), inputs.len());
     let mut slots: Vec<Option<Result<(R, WorkStats)>>> = Vec::new();
     slots.resize_with(ranges.len(), || None);
     if ranges.len() <= 1 {
         let mut fallback = SpGemmWorkspace::new();
         let ws = workspaces.first_mut().unwrap_or(&mut fallback);
-        if let Some(slot) = slots.first_mut() {
-            *slot = Some(run(ranges[0].clone(), ws));
+        if let (Some(slot), Some(input)) = (slots.first_mut(), inputs.into_iter().next()) {
+            *slot = Some(run(ranges[0].clone(), input, ws));
         }
     } else {
         debug_assert!(ranges.len() <= workspaces.len());
         std::thread::scope(|scope| {
-            for ((range, ws), slot) in
-                ranges.iter().cloned().zip(workspaces.iter_mut()).zip(slots.iter_mut())
+            for (((range, input), ws), slot) in ranges
+                .iter()
+                .cloned()
+                .zip(inputs)
+                .zip(workspaces.iter_mut())
+                .zip(slots.iter_mut())
             {
                 let run = &run;
-                scope.spawn(move || *slot = Some(run(range, ws)));
+                scope.spawn(move || *slot = Some(run(range, input, ws)));
             }
         });
     }
@@ -304,24 +326,40 @@ where
     Ok((col_concat(&outs)?, stats, bal))
 }
 
-/// Parallel [`merge_hash_unsorted_with_workspace`].
-pub fn par_merge_hash_unsorted<S: Semiring>(
-    parts: &[CscMatrix<S::T>],
+/// Every hash merge, serial (one workspace) or column-parallel (one per
+/// thread). A single part takes the [`merge_single`] rule; several parts,
+/// or a single part with a duplicate row in some column, go through the
+/// accumulator over weight-balanced column ranges.
+pub(crate) fn merge_hash_with<S: Semiring>(
+    mut parts: Vec<CscMatrix<S::T>>,
+    sort: bool,
     workspaces: &mut [SpGemmWorkspace<S::T>],
 ) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_merge::<S, _>(parts, workspaces, |parts, ws| {
-        merge_hash_unsorted_with_workspace::<S>(parts, ws)
-    })
+    crate::merge::common_shape(&parts)?;
+    if parts.len() == 1 {
+        let part = parts.pop().expect("one part");
+        match merge_single(part, sort, workspaces)? {
+            SingleMerge::Done(c, stats, balance) => return Ok((c, stats, balance)),
+            SingleMerge::Duplicates(part) => parts.push(part),
+        }
+    }
+    par_merge::<S, _>(&parts, workspaces, |parts, ws| merge_hash_accumulate::<S>(parts, sort, ws))
 }
 
-/// Parallel [`merge_hash_sorted_with_workspace`].
-pub fn par_merge_hash_sorted<S: Semiring>(
-    parts: &[CscMatrix<S::T>],
+/// Parallel [`crate::merge::merge_hash_unsorted_with_workspace`].
+pub fn par_merge_hash_unsorted<S: Semiring>(
+    parts: Vec<CscMatrix<S::T>>,
     workspaces: &mut [SpGemmWorkspace<S::T>],
 ) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_merge::<S, _>(parts, workspaces, |parts, ws| {
-        merge_hash_sorted_with_workspace::<S>(parts, ws)
-    })
+    merge_hash_with::<S>(parts, false, workspaces)
+}
+
+/// Parallel [`crate::merge::merge_hash_sorted_with_workspace`].
+pub fn par_merge_hash_sorted<S: Semiring>(
+    parts: Vec<CscMatrix<S::T>>,
+    workspaces: &mut [SpGemmWorkspace<S::T>],
+) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
+    merge_hash_with::<S>(parts, true, workspaces)
 }
 
 /// Parallel [`merge_heap_with_workspace`]. Requires sorted inputs, like

@@ -63,6 +63,10 @@ pub struct SpGemmWorkspace<T: Copy> {
     /// and returned via `into_workspace`, so per-round dense blocks in the
     /// 1.5D drivers reuse one allocation.
     dense: Vec<T>,
+    /// In-place column sort scratch: `(row << 32) | position` keys and a
+    /// copy of the column's values (the single-part sorted merge).
+    sort_keys: Vec<u64>,
+    sort_vals: Vec<T>,
     /// Allocation events charged to this workspace (arena growth + output
     /// copies); accumulator-table growths are tracked by the accumulators
     /// themselves and folded in by [`Self::total_allocs`].
@@ -97,6 +101,8 @@ impl<T: Copy> SpGemmWorkspace<T> {
             heap: BinaryHeap::new(),
             cursors: Vec::new(),
             dense: Vec::new(),
+            sort_keys: Vec::new(),
+            sort_vals: Vec::new(),
             allocs: 0,
             peak_scratch: 0,
         }
@@ -121,7 +127,9 @@ impl<T: Copy> SpGemmWorkspace<T> {
             + self.vals.capacity() * size_of::<T>()
             + self.heap.capacity() * size_of::<Reverse<(u32, u32)>>()
             + self.cursors.capacity() * size_of::<usize>()
-            + self.dense.capacity() * size_of::<T>()) as u64
+            + self.dense.capacity() * size_of::<T>()
+            + self.sort_keys.capacity() * size_of::<u64>()
+            + self.sort_vals.capacity() * size_of::<T>()) as u64
     }
 
     /// Lease the dense arena as a `len`-element buffer filled with `fill`.
@@ -175,6 +183,16 @@ impl<T: Copy> SpGemmWorkspace<T> {
             self.heap.reserve(k - self.heap.len());
         }
         Self::reserve_counting(&mut self.cursors, k, &mut self.allocs);
+    }
+
+    /// Length-cleared sort scratch with room for an `n`-entry column.
+    /// Growth is a counted allocation; reuse is free.
+    pub(crate) fn sort_scratch(&mut self, n: usize) -> (&mut Vec<u64>, &mut Vec<T>) {
+        self.sort_keys.clear();
+        self.sort_vals.clear();
+        Self::reserve_counting(&mut self.sort_keys, n, &mut self.allocs);
+        Self::reserve_counting(&mut self.sort_vals, n, &mut self.allocs);
+        (&mut self.sort_keys, &mut self.sort_vals)
     }
 
     /// Copy the finished arenas into an exact-size [`CscMatrix`].

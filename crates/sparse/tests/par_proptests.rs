@@ -61,17 +61,126 @@ fn check_multiply<S: Semiring>(a: &CscMatrix<S::T>, b: &CscMatrix<S::T>) {
 /// Merge kernels: parallel equals serial at every thread count. Parts
 /// must be sorted (heap merge requires it).
 fn check_merge<S: Semiring>(parts: &[CscMatrix<S::T>]) {
-    let (unsorted, _) = merge_hash_unsorted::<S>(parts).unwrap();
-    let (sorted, _) = merge_hash_sorted::<S>(parts).unwrap();
+    let (unsorted, _) = merge_hash_unsorted::<S>(parts.to_vec()).unwrap();
+    let (sorted, _) = merge_hash_sorted::<S>(parts.to_vec()).unwrap();
     let (heap, _) = merge_heap::<S>(parts).unwrap();
     for nthreads in THREADS {
         let mut ws = arenas::<S::T>(nthreads);
-        let (c, _, _) = par_merge_hash_unsorted::<S>(parts, &mut ws).unwrap();
+        let (c, _, _) = par_merge_hash_unsorted::<S>(parts.to_vec(), &mut ws).unwrap();
         assert_eq!(c, unsorted, "hash merge diverged at {nthreads} threads");
-        let (c, _, _) = par_merge_hash_sorted::<S>(parts, &mut ws).unwrap();
+        let (c, _, _) = par_merge_hash_sorted::<S>(parts.to_vec(), &mut ws).unwrap();
         assert_eq!(c, sorted, "sorted hash merge diverged at {nthreads} threads");
         let (c, _, _) = par_merge_heap::<S>(parts, &mut ws).unwrap();
         assert_eq!(c, heap, "heap merge diverged at {nthreads} threads");
+    }
+}
+
+/// Single-part merges against the accumulator. The accumulator's answer
+/// for one part is the merge of that part with an empty one: the empty
+/// part adds no entries, no work and no column weight, so the parallel
+/// path cuts the same ranges. A sorted merge of an unsorted part must
+/// match it bit for bit — output, `nnz_out` and `work_units` — at every
+/// thread count. Every other single-part merge keeps the part's own
+/// content and flag and charges no work. Without duplicate rows the part
+/// moves (or is sorted) in place: its `rowidx` buffer is the output's.
+fn check_single_part<S: Semiring>(part: &CscMatrix<S::T>) {
+    let has_duplicates = (0..part.ncols()).any(|j| {
+        let mut rows = part.col(j).0.to_vec();
+        rows.sort_unstable();
+        rows.windows(2).any(|w| w[0] == w[1])
+    });
+    let empty = CscMatrix::<S::T>::zero(part.nrows(), part.ncols());
+    let (serial, serial_stats) = merge_hash_sorted::<S>(vec![part.clone()]).unwrap();
+    for nthreads in THREADS {
+        let (want, want_stats, _) =
+            par_merge_hash_sorted::<S>(vec![part.clone(), empty.clone()], &mut arenas(nthreads))
+                .unwrap();
+        let owned = part.clone();
+        let ptr = owned.rowidx().as_ptr();
+        let (got, stats, _) =
+            par_merge_hash_sorted::<S>(vec![owned], &mut arenas(nthreads)).unwrap();
+        assert_eq!(got, want, "sorted single-part merge diverged at {nthreads} threads");
+        assert!(got.is_sorted());
+        assert_eq!(stats.nnz_out, want_stats.nnz_out, "nnz_out at {nthreads} threads");
+        if part.is_sorted() {
+            assert_eq!(stats.work_units.to_bits(), 0f64.to_bits(), "a sorted part moves for free");
+        } else {
+            assert_eq!(
+                stats.work_units.to_bits(),
+                want_stats.work_units.to_bits(),
+                "work units diverged at {nthreads} threads"
+            );
+        }
+        if !has_duplicates {
+            assert_eq!(got.rowidx().as_ptr(), ptr, "single part copied at {nthreads} threads");
+        }
+        if nthreads == 1 {
+            assert_eq!(serial, got, "serial and parallel single-part merges differ");
+            assert_eq!(serial_stats.work_units.to_bits(), stats.work_units.to_bits());
+        }
+
+        // Unsorted output: the part itself, moved. (A duplicate row is an
+        // invariant violation for any merge output, so such parts are only
+        // merged sorted, where the accumulator sums them.)
+        if !has_duplicates {
+            let owned = part.clone();
+            let ptr = owned.rowidx().as_ptr();
+            let (got, stats, _) =
+                par_merge_hash_unsorted::<S>(vec![owned], &mut arenas(nthreads)).unwrap();
+            assert_eq!(got, *part, "unsorted single-part merge changed the part");
+            assert_eq!(got.rowidx().as_ptr(), ptr, "single part copied at {nthreads} threads");
+            assert_eq!(stats.nnz_out, part.nnz() as u64);
+            assert_eq!(stats.work_units.to_bits(), 0f64.to_bits());
+        }
+    }
+}
+
+/// `m` with every column's entries reversed (unsorted wherever a column
+/// holds two or more).
+fn reversed<T: Copy>(m: &CscMatrix<T>) -> CscMatrix<T> {
+    let (mut rows, mut vals) = (Vec::with_capacity(m.nnz()), Vec::with_capacity(m.nnz()));
+    for j in 0..m.ncols() {
+        let (rs, vs) = m.col(j);
+        rows.extend(rs.iter().rev());
+        vals.extend(vs.iter().rev());
+    }
+    CscMatrix::from_parts(m.nrows(), m.ncols(), m.colptr().to_vec(), rows, vals).unwrap()
+}
+
+/// `m` with a second copy of the first entry of every `every`-th nonempty
+/// column appended to that column, valued `extra`.
+fn with_duplicates<T: Copy>(m: &CscMatrix<T>, every: usize, extra: T) -> CscMatrix<T> {
+    let mut colptr = vec![0usize];
+    let (mut rows, mut vals) = (Vec::new(), Vec::new());
+    for j in 0..m.ncols() {
+        let (rs, vs) = m.col(j);
+        rows.extend_from_slice(rs);
+        vals.extend_from_slice(vs);
+        if !rs.is_empty() && j % every == 0 {
+            rows.push(rs[0]);
+            vals.push(extra);
+        }
+        colptr.push(rows.len());
+    }
+    CscMatrix::from_parts(m.nrows(), m.ncols(), colptr, rows, vals).unwrap()
+}
+
+/// Every single-part shape for one semiring: sorted, unsorted, with
+/// duplicate rows, with empty columns, and with no columns at all.
+fn check_single_part_shapes<S: Semiring>(base: &CscMatrix<S::T>, extra: S::T) {
+    let mut holey = base.clone();
+    holey.retain(|_, j, _| j % 3 != 1);
+    for part in [
+        base.clone(),
+        reversed(base),
+        with_duplicates(&reversed(base), 4, extra),
+        with_duplicates(base, 5, extra),
+        reversed(&holey),
+        CscMatrix::zero(base.nrows(), base.ncols()),
+        CscMatrix::zero(base.nrows(), 0),
+        CscMatrix::from_parts(base.nrows(), 0, vec![0], Vec::new(), Vec::new()).unwrap(),
+    ] {
+        check_single_part::<S>(&part);
     }
 }
 
@@ -108,6 +217,25 @@ proptest! {
         let parts = [m.clone(), b, m];
         check_merge::<PlusTimesU64>(&parts);
     }
+
+    /// Random single parts, sorted, reversed and with duplicate rows:
+    /// single-part merges match the accumulator.
+    #[test]
+    fn single_part_merge_matches_accumulator(m in arb_square(24, 90), every in 1usize..4) {
+        check_single_part::<PlusTimesU64>(&m);
+        check_single_part::<PlusTimesU64>(&reversed(&m));
+        check_single_part::<PlusTimesU64>(&with_duplicates(&reversed(&m), every, 5));
+    }
+}
+
+/// Single-part merges across the four semirings and every part shape.
+#[test]
+fn single_part_merges_all_semirings() {
+    let n = 40;
+    check_single_part_shapes::<PlusTimesF64>(&er_random::<PlusTimesF64>(n, n, 6, 31), 0.1);
+    check_single_part_shapes::<MinPlusF64>(&er_random::<MinPlusF64>(n, n, 6, 32), 0.1);
+    check_single_part_shapes::<BoolOrAnd>(&er_random::<BoolOrAnd>(n, n, 6, 33), true);
+    check_single_part_shapes::<PlusTimesU64>(&er_random::<PlusTimesU64>(n, n, 6, 34), 7);
 }
 
 /// Every supported semiring round-trips bit-identically — including the

@@ -53,12 +53,12 @@ where
     assert_eq!(counts_ws, counts_ref, "symbolic counts");
 
     let parts = [c_ws.clone(), c_ws, c_ref];
-    let (mu_ws, _) = merge_hash_unsorted_with_workspace::<S>(&parts, ws).unwrap();
-    let (mu_ref, _) = merge_hash_unsorted::<S>(&parts).unwrap();
+    let (mu_ws, _) = merge_hash_unsorted_with_workspace::<S>(parts.to_vec(), ws).unwrap();
+    let (mu_ref, _) = merge_hash_unsorted::<S>(parts.to_vec()).unwrap();
     assert_bit_identical(&mu_ws, &mu_ref, "hash merge unsorted");
 
-    let (ms_ws, _) = merge_hash_sorted_with_workspace::<S>(&parts, ws).unwrap();
-    let (ms_ref, _) = merge_hash_sorted::<S>(&parts).unwrap();
+    let (ms_ws, _) = merge_hash_sorted_with_workspace::<S>(parts.to_vec(), ws).unwrap();
+    let (ms_ref, _) = merge_hash_sorted::<S>(parts.to_vec()).unwrap();
     assert_bit_identical(&ms_ws, &ms_ref, "hash merge sorted");
     assert!(ms_ws.is_sorted());
 

@@ -128,7 +128,7 @@ proptest! {
             }
         }
         let oracle = all.to_csc_dedup::<PlusTimesU64>();
-        let (hash, _) = merge_hash_sorted::<PlusTimesU64>(&parts).unwrap();
+        let (hash, _) = merge_hash_sorted::<PlusTimesU64>(parts.clone()).unwrap();
         prop_assert!(hash.eq_modulo_order(&oracle));
         let sorted_parts: Vec<_> = parts.iter().map(|p| p.sorted_copy()).collect();
         let (heap, _) = merge_heap::<PlusTimesU64>(&sorted_parts).unwrap();
