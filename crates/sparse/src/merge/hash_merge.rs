@@ -15,8 +15,8 @@ use crate::spgemm::accum::HashAccum;
 use crate::spgemm::workspace::SpGemmWorkspace;
 use crate::spgemm::{lg, WorkStats, C_DRAIN, C_MERGE_HASH, C_SORT};
 use crate::Result;
+use std::ops::Range;
 
-use super::common_shape;
 use crate::par::merge_hash_with;
 
 /// Merge (⊕-sum) same-shaped matrices; unsorted output columns.
@@ -52,30 +52,34 @@ pub fn merge_hash_sorted_with_workspace<S: Semiring>(
     merge_hash_with::<S>(parts, true, std::slice::from_mut(ws)).map(|(c, stats, _)| (c, stats))
 }
 
-/// The accumulator: column `j` of the output from column `j` of every
-/// part. Applies to any number of parts; the public entry points route a
-/// single part through [`super::single`] first, and come here only when
-/// it holds a duplicate row.
-pub(crate) fn merge_hash_accumulate<S: Semiring>(
+/// The accumulator body: output columns `cols`, column `j` from column `j`
+/// of every part, into the workspace's arenas. Applies to any number of
+/// parts; the public entry points route a single part through
+/// [`super::single`] first, and come here only when it holds a duplicate
+/// row. Returns whether every column came out sorted and the work done.
+pub(crate) fn hash_merge_cols<S: Semiring>(
     parts: &[CscMatrix<S::T>],
     sort: bool,
+    cols: Range<usize>,
     ws: &mut SpGemmWorkspace<S::T>,
-) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    let (nrows, ncols) = common_shape(parts)?;
-    let allocs_before = ws.total_allocs();
-    let total_nnz: usize = parts.iter().map(|p| p.nnz()).sum();
-    ws.prepare_output(ncols, total_nnz);
+) -> (bool, WorkStats) {
+    let nrows = parts.first().map_or(0, |p| p.nrows());
+    let total_nnz: usize = parts
+        .iter()
+        .map(|p| p.colptr()[cols.end] - p.colptr()[cols.start])
+        .sum();
+    ws.prepare_output(cols.len(), total_nnz);
     let mut stats = WorkStats::default();
     let acc = ws.accum.get_or_insert_with(|| HashAccum::new(S::zero()));
     ws.colptr.push(0);
 
-    for j in 0..ncols {
+    for j in cols {
         let total_in: usize = parts.iter().map(|p| p.col_nnz(j)).sum();
         if total_in == 0 {
             ws.colptr.push(ws.rowidx.len());
             continue;
         }
-        acc.reset(total_in);
+        acc.reset(total_in, nrows);
         for p in parts {
             let (rows, vs) = p.col(j);
             for (&r, &v) in rows.iter().zip(vs.iter()) {
@@ -97,13 +101,7 @@ pub(crate) fn merge_hash_accumulate<S: Semiring>(
         ws.colptr.push(ws.rowidx.len());
     }
     let trivially_sorted = ws.colptr.windows(2).all(|w| w[1] - w[0] <= 1);
-    let (c, copied) = ws.take_output(nrows, ncols, sort || trivially_sorted);
-    stats.allocs = ws.total_allocs() - allocs_before;
-    stats.peak_scratch_bytes = ws.peak_scratch_bytes();
-    stats.memcpy_bytes = copied;
-    let expected = if sort { crate::Sortedness::Sorted } else { crate::Sortedness::Unsorted };
-    crate::debug_validate!(c, expected, "hash-merge output ({} parts)", parts.len());
-    Ok((c, stats))
+    (sort || trivially_sorted, stats)
 }
 
 #[cfg(test)]

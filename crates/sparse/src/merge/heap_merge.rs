@@ -8,11 +8,11 @@
 use crate::csc::CscMatrix;
 use crate::semiring::Semiring;
 use crate::spgemm::workspace::SpGemmWorkspace;
+use crate::par::par_merge_heap;
 use crate::spgemm::{lg, WorkStats, C_MERGE_HEAP};
-use crate::{Result, SparseError};
+use crate::Result;
 use std::cmp::Reverse;
-
-use super::common_shape;
+use std::ops::Range;
 
 /// Merge (⊕-sum) same-shaped *sorted* matrices; sorted output.
 /// Convenience wrapper over [`merge_heap_with_workspace`] with a
@@ -27,23 +27,29 @@ pub fn merge_heap_with_workspace<S: Semiring>(
     parts: &[CscMatrix<S::T>],
     ws: &mut SpGemmWorkspace<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    let (nrows, ncols) = common_shape(parts)?;
-    if parts.iter().any(|p| !p.is_sorted()) {
-        return Err(SparseError::InvalidStructure(
-            "heap merge requires sorted inputs".into(),
-        ));
-    }
+    par_merge_heap::<S>(parts, std::slice::from_mut(ws)).map(|(c, stats, _)| (c, stats))
+}
+
+/// The kernel body: output columns `cols` of the merge of sorted `parts`
+/// into the workspace's arenas. Every column comes out sorted.
+pub(crate) fn heap_merge_cols<S: Semiring>(
+    parts: &[CscMatrix<S::T>],
+    cols: Range<usize>,
+    ws: &mut SpGemmWorkspace<S::T>,
+) -> (bool, WorkStats) {
     let k = parts.len();
-    let allocs_before = ws.total_allocs();
-    let total_nnz: usize = parts.iter().map(|p| p.nnz()).sum();
-    ws.prepare_output(ncols, total_nnz);
+    let total_nnz: usize = parts
+        .iter()
+        .map(|p| p.colptr()[cols.end] - p.colptr()[cols.start])
+        .sum();
+    ws.prepare_output(cols.len(), total_nnz);
     ws.ensure_streams(k);
     ws.cursors.clear();
     ws.cursors.resize(k, 0);
     let mut stats = WorkStats::default();
     ws.colptr.push(0);
 
-    for j in 0..ncols {
+    for j in cols {
         ws.heap.clear();
         let mut col_in = 0usize;
         for (s, p) in parts.iter().enumerate() {
@@ -80,12 +86,7 @@ pub fn merge_heap_with_workspace<S: Semiring>(
         stats.work_units += col_in as f64 * lg(k) * C_MERGE_HEAP;
         ws.colptr.push(ws.rowidx.len());
     }
-    let (c, copied) = ws.take_output(nrows, ncols, true);
-    stats.allocs = ws.total_allocs() - allocs_before;
-    stats.peak_scratch_bytes = ws.peak_scratch_bytes();
-    stats.memcpy_bytes = copied;
-    crate::debug_validate!(c, crate::Sortedness::Sorted, "heap-merge output ({} parts)", parts.len());
-    Ok((c, stats))
+    (true, stats)
 }
 
 #[cfg(test)]

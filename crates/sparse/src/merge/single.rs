@@ -21,9 +21,16 @@
 //! holds a duplicate row hands the part back for the accumulator to sum.
 //! The in-place sort is stable, so duplicates keep their input order and
 //! the sums come out the same.
+//!
+//! A dense column ([`is_dense_col`]) is sorted by a scan of a row bitmap;
+//! any other by a key sort. Both leave a column with a duplicate row
+//! untouched.
 
 use crate::csc::CscMatrix;
-use crate::par::{merge_col_weights, run_ranges_with, split_cols_by_weight, RangeBalance};
+use crate::par::{
+    merge_col_weights, run_ranges_with, split_cols_by_weight, split_lens, RangeBalance,
+};
+use crate::spgemm::accum::is_dense_col;
 use crate::spgemm::workspace::SpGemmWorkspace;
 use crate::spgemm::{lg, WorkStats, C_DRAIN, C_MERGE_HASH, C_SORT};
 use crate::{Result, Sortedness};
@@ -68,29 +75,29 @@ pub(crate) fn merge_single<T: Copy + Send + Sync>(
     let nthreads = workspaces.len();
     let ranges = (nthreads > 1 && part.ncols() > 1)
         .then(|| split_cols_by_weight(&merge_col_weights(std::slice::from_ref(&part)), nthreads));
-    let (colptr, mut rows, mut vals) = part.entries_mut();
+    let nrows = part.nrows();
+    let (colptr, rows, vals) = part.entries_mut();
     let (clean, stats, balance) = if let Some(ranges) = ranges {
-        let mut chunks = Vec::with_capacity(ranges.len());
-        for range in &ranges {
-            let len = colptr[range.end] - colptr[range.start];
-            let (r_head, r_tail) = std::mem::take(&mut rows).split_at_mut(len);
-            let (v_head, v_tail) = std::mem::take(&mut vals).split_at_mut(len);
-            chunks.push((&colptr[range.start..=range.end], r_head, v_head));
-            rows = r_tail;
-            vals = v_tail;
-        }
+        let lens = || ranges.iter().map(|r| colptr[r.end] - colptr[r.start]);
+        let chunks: Vec<_> = ranges
+            .iter()
+            .map(|r| &colptr[r.start..=r.end])
+            .zip(split_lens(rows, lens()))
+            .zip(split_lens(vals, lens()))
+            .map(|((colptr, rows), vals)| (colptr, rows, vals))
+            .collect();
         let (clean, stats, balance) = run_ranges_with(
             &ranges,
             chunks,
             workspaces,
-            |_, (colptr, rows, vals), ws| Ok(sort_cols_in_place(colptr, rows, vals, ws)),
+            |_, (colptr, rows, vals), ws| Ok(sort_cols_in_place(colptr, rows, vals, nrows, ws)),
         )?;
         (clean.iter().all(|&c| c), stats, balance)
     } else {
         // Serial: one range, sorted inline (no thread, no allocation).
         let mut fallback = SpGemmWorkspace::new();
         let ws = workspaces.first_mut().unwrap_or(&mut fallback);
-        let (clean, stats) = sort_cols_in_place(colptr, rows, vals, ws);
+        let (clean, stats) = sort_cols_in_place(colptr, rows, vals, nrows, ws);
         (clean, stats, RangeBalance::from_work(&[stats.work_units]))
     };
     if !clean {
@@ -106,13 +113,15 @@ pub(crate) fn merge_single<T: Copy + Send + Sync>(
 }
 
 /// Sort the columns delimited by `colptr` (absolute offsets; `rows` and
-/// `vals` start at `colptr[0]`) in place, charging the accumulator's
-/// sorted-merge work per nonempty column. Returns `false` as soon as a
-/// column holds a duplicate row, leaving that column untouched.
+/// `vals` start at `colptr[0]`; rows below `nrows`) in place, charging
+/// the accumulator's sorted-merge work per nonempty column. Returns
+/// `false` as soon as a column holds a duplicate row, leaving that column
+/// untouched.
 fn sort_cols_in_place<T: Copy>(
     colptr: &[usize],
     rows: &mut [u32],
     vals: &mut [T],
+    nrows: usize,
     ws: &mut SpGemmWorkspace<T>,
 ) -> (bool, WorkStats) {
     let allocs_before = ws.total_allocs();
@@ -125,7 +134,7 @@ fn sort_cols_in_place<T: Copy>(
         if n == 0 {
             continue;
         }
-        if !sort_col_stable(&mut rows[seg.clone()], &mut vals[seg], ws) {
+        if !sort_col_stable(&mut rows[seg.clone()], &mut vals[seg], nrows, ws) {
             clean = false;
             break;
         }
@@ -139,17 +148,30 @@ fn sort_cols_in_place<T: Copy>(
     (clean, stats)
 }
 
-/// Stable in-place sort of one column by row. Keys pack `(row, position)`
-/// into a `u64`, so they are distinct and an unstable sort of them is a
-/// stable sort of the column. Returns `false`, with the column unchanged,
-/// if two entries share a row.
-fn sort_col_stable<T: Copy>(rows: &mut [u32], vals: &mut [T], ws: &mut SpGemmWorkspace<T>) -> bool {
+/// Stable in-place sort of one column by row. Returns `false`, with the
+/// column unchanged, if two entries share a row.
+fn sort_col_stable<T: Copy>(
+    rows: &mut [u32],
+    vals: &mut [T],
+    nrows: usize,
+    ws: &mut SpGemmWorkspace<T>,
+) -> bool {
     if rows.windows(2).all(|w| w[0] < w[1]) {
         return true;
     }
     if u32::try_from(rows.len()).is_err() {
         return false;
     }
+    if is_dense_col(rows.len(), nrows) {
+        sort_col_bitmap(rows, vals, nrows, ws)
+    } else {
+        sort_col_keys(rows, vals, ws)
+    }
+}
+
+/// Key sort: keys pack `(row, position)` into a `u64`, so they are
+/// distinct and an unstable sort of them is a stable sort of the column.
+fn sort_col_keys<T: Copy>(rows: &mut [u32], vals: &mut [T], ws: &mut SpGemmWorkspace<T>) -> bool {
     let (keys, saved) = ws.sort_scratch(rows.len());
     keys.extend(
         rows.iter()
@@ -164,6 +186,38 @@ fn sort_col_stable<T: Copy>(rows: &mut [u32], vals: &mut [T], ws: &mut SpGemmWor
     for ((r, v), &k) in rows.iter_mut().zip(vals.iter_mut()).zip(keys.iter()) {
         *r = (k >> 32) as u32;
         *v = saved[(k & 0xFFFF_FFFF) as usize];
+    }
+    true
+}
+
+/// Bitmap sort: mark each row in a row bitmap, remembering its position,
+/// then scan the bitmap in row order. A row marked twice is a duplicate.
+fn sort_col_bitmap<T: Copy>(
+    rows: &mut [u32],
+    vals: &mut [T],
+    nrows: usize,
+    ws: &mut SpGemmWorkspace<T>,
+) -> bool {
+    let (bits, pos, saved) = ws.bitmap_sort_scratch(nrows, rows.len());
+    for (i, &r) in rows.iter().enumerate() {
+        let (word, bit) = (r as usize / 64, 1u64 << (r % 64));
+        if bits[word] & bit != 0 {
+            return false;
+        }
+        bits[word] |= bit;
+        pos[r as usize] = i as u32;
+    }
+    saved.extend_from_slice(vals);
+    let mut out = rows.iter_mut().zip(vals.iter_mut());
+    for (word, &set) in bits.iter().enumerate() {
+        let mut set = set;
+        while set != 0 {
+            let r = word * 64 + set.trailing_zeros() as usize;
+            let (row, val) = out.next().expect("one output slot per marked row");
+            *row = r as u32;
+            *val = saved[pos[r] as usize];
+            set &= set - 1;
+        }
     }
     true
 }

@@ -195,7 +195,7 @@ pub fn hadamard<S: Semiring>(a: &CscMatrix<S::T>, b: &CscMatrix<S::T>) -> Result
             colptr[j + 1] = rowidx.len();
             continue;
         }
-        acc.reset(b_rows.len());
+        acc.reset(b_rows.len(), b.nrows());
         for (&r, &v) in b_rows.iter().zip(b_vals.iter()) {
             acc.accumulate::<S>(r, v);
         }

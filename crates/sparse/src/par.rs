@@ -1,12 +1,17 @@
-//! Column-range parallel wrappers over the serial local kernels.
+//! Column-range parallel wrappers over the local kernels.
 //!
 //! The paper runs 16 OpenMP threads per MPI process; every local kernel in
 //! this crate is embarrassingly parallel over *output columns* (Azad et al.,
 //! "Exploiting Multiple Levels of Parallelism in SpGEMM"). This module
-//! exploits that: it splits the output column space into contiguous ranges
-//! balanced by a **flop estimate** (not column count), runs the existing
-//! serial `_with_workspace` kernel on each range in its own thread with its
-//! own [`SpGemmWorkspace`] arena, and concatenates the per-range outputs.
+//! exploits that. Each kernel is one *body* that computes a range of
+//! output columns into a [`SpGemmWorkspace`]'s output arenas.
+//! [`run_kernel`] splits the output column space into contiguous ranges
+//! balanced by a **flop estimate** (not column count) and runs the body on
+//! each range in its own thread with its own workspace. It then allocates
+//! one exact-size output and copies every range's arenas into their own
+//! disjoint slices of it, in parallel. With one workspace the body runs
+//! inline over every column and [`SpGemmWorkspace::take_output`] copies
+//! the arenas out: that is the serial `_with_workspace` entry point.
 //!
 //! ## Bit-identity
 //!
@@ -15,13 +20,13 @@
 //! per-output-column independent:
 //!
 //! * column `j` of the result depends only on `B(:,j)` (and all of `A`),
-//!   which [`col_block`] extraction preserves exactly;
+//!   which a body reads in place;
 //! * [`HashAccum`](crate::spgemm::accum::HashAccum)'s insertion order and
 //!   per-key accumulation order depend only on the order the column's data
-//!   is fed in — never on table capacity or on what previous columns did;
-//! * the `sorted` flag every kernel computes is a per-column conjunction,
-//!   so AND-ing the per-range flags (what [`col_concat`] does) reproduces
-//!   the serial flag.
+//!   is fed in — never on table capacity, on whether the column indexes
+//!   the table directly, or on what previous columns did;
+//! * the `sorted` flag every body computes is a per-column conjunction,
+//!   so AND-ing the per-range flags reproduces the serial flag.
 //!
 //! Only the *metering* differs: `WorkStats::allocs`/`peak_scratch_bytes`/
 //! `memcpy_bytes` depend on per-thread arena warmth, and the f64
@@ -30,17 +35,18 @@
 //! the serial run exactly.
 
 use crate::csc::CscMatrix;
-use crate::merge::hash_merge::merge_hash_accumulate;
+use crate::merge::hash_merge::hash_merge_cols;
+use crate::merge::heap_merge::heap_merge_cols;
 use crate::merge::single::{merge_single, SingleMerge};
-use crate::merge::merge_heap_with_workspace;
-use crate::ops::{col_block, col_concat};
 use crate::semiring::Semiring;
+use crate::spgemm::hash::hash_unsorted_cols;
+use crate::spgemm::heap::heap_cols;
+use crate::spgemm::hybrid::hybrid_cols;
+use crate::spgemm::symbolic::symbolic_cols;
 use crate::spgemm::workspace::SpGemmWorkspace;
-use crate::spgemm::{
-    spgemm_hash_unsorted_with_workspace, spgemm_heap, spgemm_hybrid_with_workspace,
-    symbolic_col_counts_with_workspace, WorkStats,
-};
-use crate::{Result, SparseError};
+use crate::spgemm::{symbolic_col_counts_with_workspace, WorkStats};
+use crate::{Result, SparseError, Sortedness};
+use std::mem::size_of;
 use std::ops::Range;
 
 /// Split `0..weights.len()` into at most `nparts` contiguous, non-empty
@@ -233,97 +239,176 @@ where
     Ok((outs, stats, RangeBalance::from_work(&per_range)))
 }
 
-/// Dispatch a multiply-shaped kernel over flop-balanced column ranges of
-/// `b`, concatenating the per-range outputs.
+/// Split `buf` into consecutive disjoint slices of the given lengths.
+pub(crate) fn split_lens<T>(mut buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.map(|len| {
+        let (head, tail) = std::mem::take(&mut buf).split_at_mut(len);
+        buf = tail;
+        head
+    })
+    .collect()
+}
+
+/// Run a kernel `body` over the output columns `0..shape.1` and return its
+/// output as one exact-size matrix, with the work done and the per-range
+/// balance.
+///
+/// A body computes the columns of its range into the workspace's output
+/// arenas (`colptr` counted from the range's first entry) and returns
+/// whether every column came out sorted. With one workspace (or at most
+/// one column) the body runs inline over every column and
+/// [`SpGemmWorkspace::take_output`] copies the arenas out. Otherwise the
+/// body runs over ranges balanced by `weights`, one thread and workspace
+/// each; then one exact-size output is allocated and each thread copies
+/// its warm arenas into its own disjoint slices of it.
+pub(crate) fn run_kernel<T, F>(
+    shape: (usize, usize),
+    fill: T,
+    weights: impl FnOnce() -> Vec<u64>,
+    workspaces: &mut [SpGemmWorkspace<T>],
+    body: F,
+) -> Result<(CscMatrix<T>, WorkStats, RangeBalance)>
+where
+    T: Copy + Send + Sync,
+    F: Fn(Range<usize>, &mut SpGemmWorkspace<T>) -> (bool, WorkStats) + Sync,
+{
+    let (nrows, ncols) = shape;
+    if workspaces.len() <= 1 || ncols <= 1 {
+        let mut fallback = SpGemmWorkspace::new();
+        let ws = workspaces.first_mut().unwrap_or(&mut fallback);
+        let allocs_before = ws.total_allocs();
+        let (sorted, mut stats) = body(0..ncols, ws);
+        let (c, copied) = ws.take_output(nrows, ncols, sorted);
+        stats.allocs = ws.total_allocs() - allocs_before;
+        stats.peak_scratch_bytes = ws.peak_scratch_bytes();
+        stats.memcpy_bytes = copied;
+        return Ok((c, stats, RangeBalance::from_work(&[stats.work_units])));
+    }
+    let ranges = split_cols_by_weight(&weights(), workspaces.len());
+    let (sorted, mut stats, balance) = run_ranges(&ranges, workspaces, |range, ws| {
+        let allocs_before = ws.total_allocs();
+        let (sorted, mut stats) = body(range, ws);
+        ws.note_peak();
+        stats.allocs = ws.total_allocs() - allocs_before;
+        stats.peak_scratch_bytes = ws.peak_scratch_bytes();
+        Ok((sorted, stats))
+    })?;
+
+    let used = &mut workspaces[..ranges.len()];
+    let lens: Vec<usize> = used.iter().map(|ws| ws.rowidx.len()).collect();
+    let nnz: usize = lens.iter().sum();
+    let mut colptr = vec![0usize; ncols + 1];
+    let mut rowidx = vec![0u32; nnz];
+    let mut vals = vec![fill; nnz];
+    let bases = lens.iter().scan(0, |base, &len| {
+        let start = *base;
+        *base += len;
+        Some(start)
+    });
+    let chunks: Vec<_> = bases
+        .zip(split_lens(&mut colptr[1..], ranges.iter().map(|r| r.len())))
+        .zip(split_lens(&mut rowidx, lens.iter().copied()))
+        .zip(split_lens(&mut vals, lens.iter().copied()))
+        .collect();
+    run_ranges_with(&ranges, chunks, used, |_, (((base, ends), rows), vals), ws| {
+        for (end, &local) in ends.iter_mut().zip(&ws.colptr[1..]) {
+            *end = base + local;
+        }
+        rows.copy_from_slice(&ws.rowidx);
+        vals.copy_from_slice(&ws.vals);
+        Ok(((), WorkStats::default()))
+    })?;
+    // Exact-size `vec!`s: an empty one doesn't touch the heap.
+    stats.allocs += 1 + 2 * u64::from(nnz > 0);
+    stats.memcpy_bytes =
+        (colptr.len() * size_of::<usize>() + nnz * (size_of::<u32>() + size_of::<T>())) as u64;
+    let sorted = sorted.iter().all(|&s| s);
+    let c = CscMatrix::from_parts_unchecked(nrows, ncols, colptr, rowidx, vals, sorted);
+    Ok((c, stats, balance))
+}
+
+/// Check shapes, then run a multiply body over flop-balanced column
+/// ranges of `b`.
 fn par_multiply<S, F>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
     workspaces: &mut [SpGemmWorkspace<S::T>],
-    kernel: F,
+    body: F,
 ) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)>
 where
     S: Semiring,
-    F: Fn(&CscMatrix<S::T>, &CscMatrix<S::T>, &mut SpGemmWorkspace<S::T>) -> Result<(CscMatrix<S::T>, WorkStats)>
-        + Sync,
+    F: Fn(Range<usize>, &mut SpGemmWorkspace<S::T>) -> (bool, WorkStats) + Sync,
 {
     check_mul_dims(a, b)?;
-    if workspaces.len() <= 1 || b.ncols() <= 1 {
-        let mut fallback = SpGemmWorkspace::new();
-        let ws = workspaces.first_mut().unwrap_or(&mut fallback);
-        let (c, stats) = kernel(a, b, ws)?;
-        return Ok((c, stats, RangeBalance::from_work(&[stats.work_units])));
-    }
-    let weights = multiply_col_flops(a, b);
-    let ranges = split_cols_by_weight(&weights, workspaces.len());
-    let (parts, stats, bal) = run_ranges(&ranges, workspaces, |range, ws| {
-        let sub = col_block(b, range);
-        kernel(a, &sub, ws)
-    })?;
-    Ok((col_concat(&parts)?, stats, bal))
+    let shape = (a.nrows(), b.ncols());
+    run_kernel(shape, S::zero(), || multiply_col_flops(a, b), workspaces, body)
 }
 
-/// Parallel [`spgemm_hash_unsorted_with_workspace`]: this paper's sort-free
-/// kernel over flop-balanced column ranges. Bit-identical to serial.
+fn require_sorted<T: Copy>(m: &CscMatrix<T>, what: &str) -> Result<()> {
+    if m.is_sorted() {
+        Ok(())
+    } else {
+        Err(SparseError::InvalidStructure(format!("{what} requires sorted columns in A")))
+    }
+}
+
+/// Parallel [`crate::spgemm::spgemm_hash_unsorted_with_workspace`]: this
+/// paper's sort-free kernel over flop-balanced column ranges.
+/// Bit-identical to serial.
 pub fn par_spgemm_hash_unsorted<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
     workspaces: &mut [SpGemmWorkspace<S::T>],
 ) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_multiply::<S, _>(a, b, workspaces, |a, b, ws| {
-        spgemm_hash_unsorted_with_workspace::<S>(a, b, ws)
-    })
+    let out = par_multiply::<S, _>(a, b, workspaces, |cols, ws| {
+        hash_unsorted_cols::<S>(a, b, cols, ws)
+    })?;
+    crate::debug_validate!(out.0, Sortedness::Unsorted, "unsorted-hash SpGEMM output");
+    Ok(out)
 }
 
-/// Parallel [`spgemm_hybrid_with_workspace`] (previous-generation sorted
-/// kernel). Requires sorted `a`, like the serial path.
+/// Parallel [`crate::spgemm::spgemm_hybrid_with_workspace`]
+/// (previous-generation sorted kernel). Requires sorted `a`, like the
+/// serial path.
 pub fn par_spgemm_hybrid<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
     workspaces: &mut [SpGemmWorkspace<S::T>],
 ) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_multiply::<S, _>(a, b, workspaces, |a, b, ws| {
-        spgemm_hybrid_with_workspace::<S>(a, b, ws)
-    })
+    check_mul_dims(a, b)?;
+    require_sorted(a, "hybrid SpGEMM")?;
+    let out = par_multiply::<S, _>(a, b, workspaces, |cols, ws| hybrid_cols::<S>(a, b, cols, ws))?;
+    crate::debug_validate!(out.0, Sortedness::Sorted, "hybrid SpGEMM output");
+    Ok(out)
 }
 
-/// Parallel [`spgemm_heap`]. The heap kernel has no workspace variant
-/// (it owns no reusable arenas), so the workspaces only determine the
-/// thread count here.
+/// Parallel [`crate::spgemm::spgemm_heap`]. Requires sorted `a`, like the
+/// serial path.
 pub fn par_spgemm_heap<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
     workspaces: &mut [SpGemmWorkspace<S::T>],
 ) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_multiply::<S, _>(a, b, workspaces, |a, b, _ws| spgemm_heap::<S>(a, b))
+    check_mul_dims(a, b)?;
+    require_sorted(a, "heap SpGEMM")?;
+    let out = par_multiply::<S, _>(a, b, workspaces, |cols, ws| heap_cols::<S>(a, b, cols, ws))?;
+    crate::debug_validate!(out.0, Sortedness::Sorted, "heap SpGEMM output");
+    Ok(out)
 }
 
-/// Dispatch a merge-shaped kernel over weight-balanced column ranges of
-/// same-shaped `parts`.
+/// Check shapes, then run a merge body over weight-balanced column ranges
+/// of same-shaped `parts`.
 fn par_merge<S, F>(
     parts: &[CscMatrix<S::T>],
     workspaces: &mut [SpGemmWorkspace<S::T>],
-    kernel: F,
+    body: F,
 ) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)>
 where
     S: Semiring,
-    F: Fn(&[CscMatrix<S::T>], &mut SpGemmWorkspace<S::T>) -> Result<(CscMatrix<S::T>, WorkStats)>
-        + Sync,
+    F: Fn(Range<usize>, &mut SpGemmWorkspace<S::T>) -> (bool, WorkStats) + Sync,
 {
-    let (_, ncols) = crate::merge::common_shape(parts)?;
-    if workspaces.len() <= 1 || ncols <= 1 {
-        let mut fallback = SpGemmWorkspace::new();
-        let ws = workspaces.first_mut().unwrap_or(&mut fallback);
-        let (c, stats) = kernel(parts, ws)?;
-        return Ok((c, stats, RangeBalance::from_work(&[stats.work_units])));
-    }
-    let weights = merge_col_weights(parts);
-    let ranges = split_cols_by_weight(&weights, workspaces.len());
-    let (outs, stats, bal) = run_ranges(&ranges, workspaces, |range, ws| {
-        let subs: Vec<CscMatrix<S::T>> =
-            parts.iter().map(|p| col_block(p, range.clone())).collect();
-        kernel(&subs, ws)
-    })?;
-    Ok((col_concat(&outs)?, stats, bal))
+    let shape = crate::merge::common_shape(parts)?;
+    run_kernel(shape, S::zero(), || merge_col_weights(parts), workspaces, body)
 }
 
 /// Every hash merge, serial (one workspace) or column-parallel (one per
@@ -343,7 +428,12 @@ pub(crate) fn merge_hash_with<S: Semiring>(
             SingleMerge::Duplicates(part) => parts.push(part),
         }
     }
-    par_merge::<S, _>(&parts, workspaces, |parts, ws| merge_hash_accumulate::<S>(parts, sort, ws))
+    let out = par_merge::<S, _>(&parts, workspaces, |cols, ws| {
+        hash_merge_cols::<S>(&parts, sort, cols, ws)
+    })?;
+    let expected = if sort { Sortedness::Sorted } else { Sortedness::Unsorted };
+    crate::debug_validate!(out.0, expected, "hash-merge output ({} parts)", parts.len());
+    Ok(out)
 }
 
 /// Parallel [`crate::merge::merge_hash_unsorted_with_workspace`].
@@ -362,20 +452,27 @@ pub fn par_merge_hash_sorted<S: Semiring>(
     merge_hash_with::<S>(parts, true, workspaces)
 }
 
-/// Parallel [`merge_heap_with_workspace`]. Requires sorted inputs, like
-/// the serial path.
+/// Parallel [`crate::merge::merge_heap_with_workspace`]. Requires sorted
+/// inputs, like the serial path.
 pub fn par_merge_heap<S: Semiring>(
     parts: &[CscMatrix<S::T>],
     workspaces: &mut [SpGemmWorkspace<S::T>],
 ) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_merge::<S, _>(parts, workspaces, |parts, ws| {
-        merge_heap_with_workspace::<S>(parts, ws)
-    })
+    crate::merge::common_shape(parts)?;
+    if parts.iter().any(|p| !p.is_sorted()) {
+        return Err(SparseError::InvalidStructure(
+            "heap merge requires sorted inputs".into(),
+        ));
+    }
+    let out =
+        par_merge::<S, _>(parts, workspaces, |cols, ws| heap_merge_cols::<S>(parts, cols, ws))?;
+    crate::debug_validate!(out.0, Sortedness::Sorted, "heap-merge output ({} parts)", parts.len());
+    Ok(out)
 }
 
 /// Parallel [`symbolic_col_counts_with_workspace`]: per-column nnz counts
-/// of `a · b` over flop-balanced column ranges. Counts are exact integers,
-/// identical to serial.
+/// of `a · b` over flop-balanced column ranges, each thread writing its
+/// own slice of the counts. Counts are exact integers, identical to serial.
 pub fn par_symbolic_col_counts<T, U, W>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
@@ -393,16 +490,17 @@ where
         let (counts, stats) = symbolic_col_counts_with_workspace(a, b, ws)?;
         return Ok((counts, stats, RangeBalance::from_work(&[stats.work_units])));
     }
+    crate::debug_validate!(*a, Sortedness::Unsorted, "symbolic sweep input A");
+    crate::debug_validate!(*b, Sortedness::Unsorted, "symbolic sweep input B");
     let weights = multiply_col_flops(a, b);
     let ranges = split_cols_by_weight(&weights, workspaces.len());
-    let (chunks, stats, bal) = run_ranges(&ranges, workspaces, |range, ws| {
-        let sub = col_block(b, range);
-        symbolic_col_counts_with_workspace(a, &sub, ws)
+    let mut counts = vec![0u64; b.ncols()];
+    let chunks = split_lens(&mut counts, ranges.iter().map(|r| r.len()));
+    let (_, mut stats, bal) = run_ranges_with(&ranges, chunks, workspaces, |range, counts, ws| {
+        Ok(((), symbolic_cols(a, b, range, counts, ws)))
     })?;
-    let mut counts = Vec::with_capacity(b.ncols());
-    for chunk in chunks {
-        counts.extend_from_slice(&chunk);
-    }
+    // One exact-size allocation for the counts themselves.
+    stats.allocs += 1;
     Ok((counts, stats, bal))
 }
 

@@ -7,10 +7,12 @@
 
 use super::accum::HashAccum;
 use super::workspace::SpGemmWorkspace;
-use super::{WorkStats, C_DRAIN, C_HASH_FLOP};
+use super::{col_flops, range_flops, WorkStats, C_DRAIN, C_HASH_FLOP};
 use crate::csc::CscMatrix;
+use crate::par::par_spgemm_hash_unsorted;
 use crate::semiring::Semiring;
-use crate::{Result, SparseError};
+use crate::Result;
+use std::ops::Range;
 
 /// Multiply `a · b` with hash accumulation; unsorted output columns.
 ///
@@ -36,34 +38,29 @@ pub fn spgemm_hash_unsorted_with_workspace<S: Semiring>(
     b: &CscMatrix<S::T>,
     ws: &mut SpGemmWorkspace<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
-    let n_out = b.ncols();
-    let allocs_before = ws.total_allocs();
-    // Arena upper bound: the flop count Σ_j Σ_{i∈B(:,j)} nnz(A(:,i)) also
-    // bounds the output nnz (one entry per multiply before accumulation).
-    let mut total_ub = 0usize;
-    for &i in b.rowidx() {
-        total_ub += a.col_nnz(i as usize);
-    }
-    ws.prepare_output(n_out, total_ub);
+    par_spgemm_hash_unsorted::<S>(a, b, std::slice::from_mut(ws)).map(|(c, stats, _)| (c, stats))
+}
+
+/// The kernel body: output columns `cols` of `a · b` into the workspace's
+/// arenas. Returns whether every column came out sorted (only columns of
+/// length ≤ 1 are known to be) and the work done.
+pub(crate) fn hash_unsorted_cols<S: Semiring>(
+    a: &CscMatrix<S::T>,
+    b: &CscMatrix<S::T>,
+    cols: Range<usize>,
+    ws: &mut SpGemmWorkspace<S::T>,
+) -> (bool, WorkStats) {
+    ws.prepare_output(cols.len(), range_flops(a, b, cols.clone()));
     let mut stats = WorkStats::default();
     let acc = ws.accum.get_or_insert_with(|| HashAccum::new(S::zero()));
     ws.colptr.push(0);
 
-    for j in 0..n_out {
+    for j in cols {
         let (b_rows, b_vals) = b.col(j);
         // Upper bound on distinct output rows in this column.
-        let mut ub = 0usize;
-        for &i in b_rows {
-            ub += a.col_nnz(i as usize);
-        }
+        let ub = col_flops(a, b_rows);
         if ub > 0 {
-            acc.reset(ub);
+            acc.reset(ub, a.nrows());
             for (&i, &bv) in b_rows.iter().zip(b_vals.iter()) {
                 let (a_rows, a_vals) = a.col(i as usize);
                 for (&r, &av) in a_rows.iter().zip(a_vals.iter()) {
@@ -82,12 +79,7 @@ pub fn spgemm_hash_unsorted_with_workspace<S: Semiring>(
     // Columns of length ≤ 1 are trivially sorted; keeps the flag honest for
     // degenerate outputs without scanning row indices.
     let sorted = ws.colptr.windows(2).all(|w| w[1] - w[0] <= 1);
-    let (c, copied) = ws.take_output(a.nrows(), n_out, sorted);
-    stats.allocs = ws.total_allocs() - allocs_before;
-    stats.peak_scratch_bytes = ws.peak_scratch_bytes();
-    stats.memcpy_bytes = copied;
-    crate::debug_validate!(c, crate::Sortedness::Unsorted, "unsorted-hash SpGEMM output");
-    Ok((c, stats))
+    (sorted, stats)
 }
 
 #[cfg(test)]

@@ -5,12 +5,14 @@
 //! sorted input columns in `A`; produces sorted output. Kept as the
 //! baseline the paper improves upon (Table VII, Fig. 15).
 
-use super::{lg, WorkStats, C_HEAP_FLOP};
+use super::workspace::SpGemmWorkspace;
+use super::{col_flops, lg, range_flops, WorkStats, C_HEAP_FLOP};
 use crate::csc::CscMatrix;
+use crate::par::par_spgemm_heap;
 use crate::semiring::Semiring;
-use crate::{Result, SparseError};
+use crate::Result;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Multiply `a · b` by k-way heap merge per output column.
 ///
@@ -20,76 +22,77 @@ pub fn spgemm_heap<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
-    if !a.is_sorted() {
-        return Err(SparseError::InvalidStructure(
-            "heap SpGEMM requires sorted columns in A".into(),
-        ));
-    }
-    let n_out = b.ncols();
-    let mut colptr = vec![0usize; n_out + 1];
-    let mut rowidx: Vec<u32> = Vec::new();
-    let mut vals: Vec<S::T> = Vec::new();
-    let mut stats = WorkStats::default();
-    // (row, stream) min-heap; `cursor[s]` walks stream s's position in A's column.
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-    let mut cursors: Vec<usize> = Vec::new();
+    par_spgemm_heap::<S>(a, b, &mut [SpGemmWorkspace::new()]).map(|(c, stats, _)| (c, stats))
+}
 
-    for j in 0..n_out {
+/// The kernel body: output columns `cols` of `a · b` (sorted `a`) into the
+/// workspace's arenas. Every column comes out sorted.
+pub(crate) fn heap_cols<S: Semiring>(
+    a: &CscMatrix<S::T>,
+    b: &CscMatrix<S::T>,
+    cols: Range<usize>,
+    ws: &mut SpGemmWorkspace<S::T>,
+) -> (bool, WorkStats) {
+    ws.prepare_output(cols.len(), range_flops(a, b, cols.clone()));
+    let mut stats = WorkStats::default();
+    ws.colptr.push(0);
+    for j in cols {
         let (b_rows, b_vals) = b.col(j);
         let k = b_rows.len();
-        if k == 0 {
-            colptr[j + 1] = rowidx.len();
-            continue;
+        if k > 0 {
+            let col_start = ws.rowidx.len();
+            let flops = col_flops(a, b_rows) as u64;
+            heap_col::<S>(a, b_rows, b_vals, ws);
+            stats.flops += flops;
+            stats.nnz_out += (ws.rowidx.len() - col_start) as u64;
+            stats.work_units += flops as f64 * lg(k) * C_HEAP_FLOP;
         }
-        heap.clear();
-        cursors.clear();
-        cursors.resize(k, 0);
-        let mut col_flops = 0u64;
-        for (s, &i) in b_rows.iter().enumerate() {
-            let (a_rows, _) = a.col(i as usize);
-            col_flops += a_rows.len() as u64;
-            if !a_rows.is_empty() {
-                heap.push(Reverse((a_rows[0], s as u32)));
-            }
-        }
-        let col_start = rowidx.len();
-        while let Some(Reverse((row, s))) = heap.pop() {
-            let s = s as usize;
-            let i = b_rows[s] as usize;
-            let (a_rows, a_vals) = a.col(i);
-            let pos = cursors[s];
-            let prod = S::mul(a_vals[pos], b_vals[s]);
-            match rowidx.last() {
-                Some(&last) if last == row && rowidx.len() > col_start => {
-                    let v = vals.last_mut().unwrap();
-                    *v = S::add(*v, prod);
-                }
-                _ => {
-                    rowidx.push(row);
-                    vals.push(prod);
-                }
-            }
-            cursors[s] = pos + 1;
-            if pos + 1 < a_rows.len() {
-                heap.push(Reverse((a_rows[pos + 1], s as u32)));
-            }
-        }
-        let produced = rowidx.len() - col_start;
-        stats.flops += col_flops;
-        stats.nnz_out += produced as u64;
-        stats.work_units += col_flops as f64 * lg(k) * C_HEAP_FLOP;
-        colptr[j + 1] = rowidx.len();
+        ws.colptr.push(ws.rowidx.len());
     }
-    let c = CscMatrix::from_parts_unchecked(a.nrows(), n_out, colptr, rowidx, vals, true);
-    debug_assert!(c.check_sorted());
-    crate::debug_validate!(c, crate::Sortedness::Sorted, "heap SpGEMM output");
-    Ok((c, stats))
+    (true, stats)
+}
+
+/// Append one sorted output column `Σ_s A(:,b_rows[s])·b_vals[s]` to the
+/// workspace's arenas: a k-way merge of the sorted columns of `a`, one
+/// heap stream per entry of `B(:,j)`, keyed on row index.
+pub(crate) fn heap_col<S: Semiring>(
+    a: &CscMatrix<S::T>,
+    b_rows: &[u32],
+    b_vals: &[S::T],
+    ws: &mut SpGemmWorkspace<S::T>,
+) {
+    let k = b_rows.len();
+    ws.ensure_streams(k);
+    ws.heap.clear();
+    ws.cursors.clear();
+    ws.cursors.resize(k, 0);
+    for (s, &i) in b_rows.iter().enumerate() {
+        let (a_rows, _) = a.col(i as usize);
+        if !a_rows.is_empty() {
+            ws.heap.push(Reverse((a_rows[0], s as u32)));
+        }
+    }
+    let col_start = ws.rowidx.len();
+    while let Some(Reverse((row, s))) = ws.heap.pop() {
+        let s = s as usize;
+        let (a_rows, a_vals) = a.col(b_rows[s] as usize);
+        let pos = ws.cursors[s];
+        let prod = S::mul(a_vals[pos], b_vals[s]);
+        match ws.rowidx.last() {
+            Some(&last) if last == row && ws.rowidx.len() > col_start => {
+                let v = ws.vals.last_mut().unwrap();
+                *v = S::add(*v, prod);
+            }
+            _ => {
+                ws.rowidx.push(row);
+                ws.vals.push(prod);
+            }
+        }
+        ws.cursors[s] = pos + 1;
+        if pos + 1 < a_rows.len() {
+            ws.heap.push(Reverse((a_rows[pos + 1], s as u32)));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -9,12 +9,14 @@
 //! difference.
 
 use super::accum::HashAccum;
+use super::heap::heap_col;
 use super::workspace::SpGemmWorkspace;
-use super::{lg, WorkStats, C_HASH_FLOP, C_HEAP_FLOP, C_SORT};
+use super::{col_flops, lg, range_flops, WorkStats, C_HASH_FLOP, C_HEAP_FLOP, C_SORT};
 use crate::csc::CscMatrix;
+use crate::par::par_spgemm_hybrid;
 use crate::semiring::Semiring;
-use crate::{Result, SparseError};
-use std::cmp::Reverse;
+use crate::Result;
+use std::ops::Range;
 
 /// Streams-per-column threshold below which the heap path wins (few streams
 /// mean the log factor is tiny and the heap's sorted output is free).
@@ -40,76 +42,39 @@ pub fn spgemm_hybrid_with_workspace<S: Semiring>(
     b: &CscMatrix<S::T>,
     ws: &mut SpGemmWorkspace<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
-    if !a.is_sorted() {
-        return Err(SparseError::InvalidStructure(
-            "hybrid SpGEMM requires sorted columns in A".into(),
-        ));
-    }
-    let n_out = b.ncols();
-    let allocs_before = ws.total_allocs();
-    let mut total_ub = 0usize;
-    for &i in b.rowidx() {
-        total_ub += a.col_nnz(i as usize);
-    }
-    ws.prepare_output(n_out, total_ub);
+    par_spgemm_hybrid::<S>(a, b, std::slice::from_mut(ws)).map(|(c, stats, _)| (c, stats))
+}
+
+/// The kernel body: output columns `cols` of `a · b` (sorted `a`) into the
+/// workspace's arenas. Every column comes out sorted.
+pub(crate) fn hybrid_cols<S: Semiring>(
+    a: &CscMatrix<S::T>,
+    b: &CscMatrix<S::T>,
+    cols: Range<usize>,
+    ws: &mut SpGemmWorkspace<S::T>,
+) -> (bool, WorkStats) {
+    ws.prepare_output(cols.len(), range_flops(a, b, cols.clone()));
     ws.ensure_streams(HEAP_STREAMS_MAX);
     let mut stats = WorkStats::default();
-    let acc = ws.accum.get_or_insert_with(|| HashAccum::new(S::zero()));
     ws.colptr.push(0);
 
-    for j in 0..n_out {
+    for j in cols {
         let (b_rows, b_vals) = b.col(j);
         let k = b_rows.len();
         if k == 0 {
             ws.colptr.push(ws.rowidx.len());
             continue;
         }
-        let mut col_flops = 0u64;
-        for &i in b_rows {
-            col_flops += a.col_nnz(i as usize) as u64;
-        }
+        let col_flops = col_flops(a, b_rows) as u64;
         let col_start = ws.rowidx.len();
         if k <= HEAP_STREAMS_MAX {
             // Heap path: sorted output for free.
-            ws.heap.clear();
-            ws.cursors.clear();
-            ws.cursors.resize(k, 0);
-            for (s, &i) in b_rows.iter().enumerate() {
-                let (a_rows, _) = a.col(i as usize);
-                if !a_rows.is_empty() {
-                    ws.heap.push(Reverse((a_rows[0], s as u32)));
-                }
-            }
-            while let Some(Reverse((row, s))) = ws.heap.pop() {
-                let s = s as usize;
-                let (a_rows, a_vals) = a.col(b_rows[s] as usize);
-                let pos = ws.cursors[s];
-                let prod = S::mul(a_vals[pos], b_vals[s]);
-                match ws.rowidx.last() {
-                    Some(&last) if last == row && ws.rowidx.len() > col_start => {
-                        let v = ws.vals.last_mut().unwrap();
-                        *v = S::add(*v, prod);
-                    }
-                    _ => {
-                        ws.rowidx.push(row);
-                        ws.vals.push(prod);
-                    }
-                }
-                ws.cursors[s] = pos + 1;
-                if pos + 1 < a_rows.len() {
-                    ws.heap.push(Reverse((a_rows[pos + 1], s as u32)));
-                }
-            }
+            heap_col::<S>(a, b_rows, b_vals, ws);
             stats.work_units += col_flops as f64 * lg(k) * C_HEAP_FLOP;
         } else {
             // Hash path + explicit sort of the finished column.
-            acc.reset(col_flops as usize);
+            let acc = ws.accum.get_or_insert_with(|| HashAccum::new(S::zero()));
+            acc.reset(col_flops as usize, a.nrows());
             for (&i, &bv) in b_rows.iter().zip(b_vals.iter()) {
                 let (a_rows, a_vals) = a.col(i as usize);
                 for (&r, &av) in a_rows.iter().zip(a_vals.iter()) {
@@ -126,12 +91,7 @@ pub fn spgemm_hybrid_with_workspace<S: Semiring>(
         stats.nnz_out += produced as u64;
         ws.colptr.push(ws.rowidx.len());
     }
-    let (c, copied) = ws.take_output(a.nrows(), n_out, true);
-    stats.allocs = ws.total_allocs() - allocs_before;
-    stats.peak_scratch_bytes = ws.peak_scratch_bytes();
-    stats.memcpy_bytes = copied;
-    crate::debug_validate!(c, crate::Sortedness::Sorted, "hybrid SpGEMM output");
-    Ok((c, stats))
+    (true, stats)
 }
 
 #[cfg(test)]

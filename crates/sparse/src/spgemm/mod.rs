@@ -40,6 +40,9 @@ pub use hybrid::{spgemm_hybrid, spgemm_hybrid_with_workspace};
 pub use symbolic::{symbolic_col_counts, symbolic_col_counts_with_workspace, symbolic_nnz};
 pub use workspace::SpGemmWorkspace;
 
+use crate::csc::CscMatrix;
+use std::ops::Range;
+
 /// Work performed by a local kernel, in both physical and modeled units.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkStats {
@@ -104,6 +107,23 @@ pub const C_MERGE_HEAP: f64 = 2.2;
 /// so it is cheaper than a hash flop. The planner's 1.5D compute terms
 /// use this same constant (`predict` mirrors the kernel exactly).
 pub const C_SPMM_FLOP: f64 = 0.4;
+
+/// Flop bound of output column `j` of `a · b`: `Σ_{i ∈ B(:,j)} nnz(A(:,i))`.
+/// It also bounds the column's distinct rows.
+#[inline]
+pub(crate) fn col_flops<T: Copy>(a: &CscMatrix<T>, b_rows: &[u32]) -> usize {
+    b_rows.iter().map(|&i| a.col_nnz(i as usize)).sum()
+}
+
+/// Flop bound of the output columns `cols` of `a · b`; it also bounds
+/// their output nnz (one entry per multiply before accumulation).
+pub(crate) fn range_flops<T: Copy, U: Copy>(
+    a: &CscMatrix<T>,
+    b: &CscMatrix<U>,
+    cols: Range<usize>,
+) -> usize {
+    col_flops(a, &b.rowidx()[b.colptr()[cols.start]..b.colptr()[cols.end]])
+}
 
 /// log₂ clamped below at 1 (so a single stream still costs one comparison).
 #[inline]

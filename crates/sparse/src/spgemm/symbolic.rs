@@ -4,10 +4,12 @@
 //! multiply (no value traffic, no output materialization), which is why the
 //! paper's Symbolic3D step is communication-dominated (Fig. 8).
 
+use super::accum::is_dense_col;
 use super::workspace::SpGemmWorkspace;
-use super::{WorkStats, C_DRAIN, C_HASH_FLOP};
+use super::{col_flops, WorkStats, C_DRAIN, C_HASH_FLOP};
 use crate::csc::CscMatrix;
 use crate::{Result, SparseError};
+use std::ops::Range;
 
 /// Per-column output nnz of `a · b`, plus flop count.
 ///
@@ -24,10 +26,10 @@ pub fn symbolic_col_counts<T: Copy, U: Copy>(
 
 /// [`symbolic_col_counts`] against caller-owned reusable scratch.
 ///
-/// Only the workspace's structure-only accumulator is used, so the
-/// workspace's value type `W` is independent of the operand types — the
-/// same per-rank workspace that serves the numeric kernels serves the
-/// symbolic sweep.
+/// Only the workspace's structure-only accumulator and row bitmap are
+/// used, so the workspace's value type `W` is independent of the operand
+/// types — the same per-rank workspace that serves the numeric kernels
+/// serves the symbolic sweep.
 pub fn symbolic_col_counts_with_workspace<T: Copy, U: Copy, W: Copy>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
@@ -41,41 +43,61 @@ pub fn symbolic_col_counts_with_workspace<T: Copy, U: Copy, W: Copy>(
     }
     crate::debug_validate!(*a, crate::Sortedness::Unsorted, "symbolic sweep input A");
     crate::debug_validate!(*b, crate::Sortedness::Unsorted, "symbolic sweep input B");
-    let n_out = b.ncols();
+    let mut counts = vec![0u64; b.ncols()];
+    let mut stats = symbolic_cols(a, b, 0..b.ncols(), &mut counts, ws);
+    // One exact-size allocation for the counts themselves.
+    stats.allocs += 1;
+    Ok((counts, stats))
+}
+
+/// The sweep body: `counts[k]` becomes the number of distinct rows of
+/// output column `cols.start + k`. A dense column ([`is_dense_col`]) sets
+/// bits in the workspace's row bitmap and counts them; any other inserts
+/// its rows into the structure-only hash accumulator.
+pub(crate) fn symbolic_cols<T: Copy, U: Copy, W: Copy>(
+    a: &CscMatrix<T>,
+    b: &CscMatrix<U>,
+    cols: Range<usize>,
+    counts: &mut [u64],
+    ws: &mut SpGemmWorkspace<W>,
+) -> WorkStats {
+    let nrows = a.nrows();
     let allocs_before = ws.total_allocs();
-    let mut counts = vec![0u64; n_out];
-    let acc = &mut ws.sym;
     let mut stats = WorkStats::default();
-    #[allow(clippy::needless_range_loop)] // indexes both `b` and `counts`
-    for j in 0..n_out {
+    for (j, count) in cols.zip(counts.iter_mut()) {
         let (b_rows, _) = b.col(j);
-        let mut ub = 0usize;
-        for &i in b_rows {
-            ub += a.col_nnz(i as usize);
-        }
+        let ub = col_flops(a, b_rows);
         if ub == 0 {
             continue;
         }
-        acc.reset(ub);
-        for &i in b_rows {
-            let (a_rows, _) = a.col(i as usize);
-            for &r in a_rows {
-                acc.insert_key(r);
+        *count = if is_dense_col(ub, nrows) {
+            let bits = ws.row_bitmap(nrows);
+            for &i in b_rows {
+                for &r in a.col(i as usize).0 {
+                    bits[r as usize / 64] |= 1 << (r % 64);
+                }
             }
-        }
-        counts[j] = acc.len() as u64;
+            bits.iter().map(|w| u64::from(w.count_ones())).sum()
+        } else {
+            ws.sym.reset(ub, nrows);
+            for &i in b_rows {
+                for &r in a.col(i as usize).0 {
+                    ws.sym.insert_key(r);
+                }
+            }
+            ws.sym.len() as u64
+        };
         stats.flops += ub as u64;
-        stats.nnz_out += acc.len() as u64;
+        stats.nnz_out += *count;
         // Symbolic probes cost like numeric probes but skip the value math
         // and the drain; model at half the per-flop constant.
-        stats.work_units += ub as f64 * (C_HASH_FLOP * 0.5) + acc.len() as f64 * (C_DRAIN * 0.25);
+        stats.work_units += ub as f64 * (C_HASH_FLOP * 0.5) + *count as f64 * (C_DRAIN * 0.25);
     }
-    // One exact-size allocation for the counts themselves, plus any table
-    // growth the sweep caused.
-    stats.allocs = ws.total_allocs() - allocs_before + 1;
+    // Any table or bitmap growth the sweep caused.
+    stats.allocs = ws.total_allocs() - allocs_before;
     ws.note_peak();
     stats.peak_scratch_bytes = ws.peak_scratch_bytes();
-    Ok((counts, stats))
+    stats
 }
 
 /// Total `nnz(A·B)` (convenience wrapper over [`symbolic_col_counts`]).

@@ -9,14 +9,17 @@
 //! workhorse collection" design (Sec. IV-D) is explicitly about avoiding.
 //!
 //! [`SpGemmWorkspace`] owns every piece of reusable state — the numeric
-//! and symbolic [`HashAccum`]s, the k-way-merge heap and cursors, and
-//! output arenas for `colptr`/`rowidx`/`vals` — with monotonically growing
-//! capacity. The `_with_workspace` kernel entry points build their result
-//! in the arenas (preallocated to the kernel's own upper bound: the
-//! per-column `ub`/`total_in` sums) and finish with one exact-size copy
-//! per buffer, so a warmed-up workspace performs a small constant number
-//! of allocations per kernel call instead of `O(log nnz)` growth events
-//! per vector plus a table reallocation per column-size regime.
+//! and symbolic [`HashAccum`]s, the k-way-merge heap and cursors, sort
+//! scratch, a row bitmap, and output arenas for `colptr`/`rowidx`/`vals` —
+//! with monotonically growing capacity. Every kernel body builds its
+//! result in the arenas (preallocated to the kernel's own upper bound: the
+//! per-column `ub`/`total_in` sums). A serial `_with_workspace` call
+//! finishes with one exact-size copy per buffer
+//! ([`SpGemmWorkspace::take_output`]); a column-parallel call copies every
+//! thread's arenas into one exact-size output (`par::run_kernel`). Either way a warmed-up workspace performs a
+//! small constant number of allocations per kernel call instead of
+//! `O(log nnz)` growth events per vector plus a table reallocation per
+//! column-size regime.
 //!
 //! The workspace also meters itself: allocation events, the scratch
 //! high-water mark, and bytes memcpy'd into finished outputs flow into
@@ -67,6 +70,10 @@ pub struct SpGemmWorkspace<T: Copy> {
     /// copy of the column's values (the single-part sorted merge).
     sort_keys: Vec<u64>,
     sort_vals: Vec<T>,
+    /// One bit per row: distinct-row counting and sorting of dense columns.
+    row_bits: Vec<u64>,
+    /// Position of each row in the column under a bitmap sort.
+    row_pos: Vec<u32>,
     /// Allocation events charged to this workspace (arena growth + output
     /// copies); accumulator-table growths are tracked by the accumulators
     /// themselves and folded in by [`Self::total_allocs`].
@@ -103,6 +110,8 @@ impl<T: Copy> SpGemmWorkspace<T> {
             dense: Vec::new(),
             sort_keys: Vec::new(),
             sort_vals: Vec::new(),
+            row_bits: Vec::new(),
+            row_pos: Vec::new(),
             allocs: 0,
             peak_scratch: 0,
         }
@@ -129,7 +138,9 @@ impl<T: Copy> SpGemmWorkspace<T> {
             + self.cursors.capacity() * size_of::<usize>()
             + self.dense.capacity() * size_of::<T>()
             + self.sort_keys.capacity() * size_of::<u64>()
-            + self.sort_vals.capacity() * size_of::<T>()) as u64
+            + self.sort_vals.capacity() * size_of::<T>()
+            + self.row_bits.capacity() * size_of::<u64>()
+            + self.row_pos.capacity() * size_of::<u32>()) as u64
     }
 
     /// Lease the dense arena as a `len`-element buffer filled with `fill`.
@@ -193,6 +204,39 @@ impl<T: Copy> SpGemmWorkspace<T> {
         Self::reserve_counting(&mut self.sort_keys, n, &mut self.allocs);
         Self::reserve_counting(&mut self.sort_vals, n, &mut self.allocs);
         (&mut self.sort_keys, &mut self.sort_vals)
+    }
+
+    /// A zeroed bitmap with one bit per row. Growth is a counted
+    /// allocation; reuse costs one pass over `nrows / 64` words.
+    pub(crate) fn row_bitmap(&mut self, nrows: usize) -> &mut [u64] {
+        Self::zeroed_bits(&mut self.row_bits, nrows, &mut self.allocs)
+    }
+
+    /// Scratch for the bitmap sort of an `n`-entry column over `nrows`
+    /// rows: a zeroed row bitmap, a row-indexed position table (stale
+    /// entries are never read before written) and an empty buffer for the
+    /// column's values. Growth is counted; reuse is free.
+    pub(crate) fn bitmap_sort_scratch(
+        &mut self,
+        nrows: usize,
+        n: usize,
+    ) -> (&mut [u64], &mut [u32], &mut Vec<T>) {
+        if self.row_pos.len() < nrows {
+            Self::reserve_counting(&mut self.row_pos, nrows, &mut self.allocs);
+            self.row_pos.resize(nrows, 0);
+        }
+        self.sort_vals.clear();
+        Self::reserve_counting(&mut self.sort_vals, n, &mut self.allocs);
+        let bits = Self::zeroed_bits(&mut self.row_bits, nrows, &mut self.allocs);
+        (bits, &mut self.row_pos[..nrows], &mut self.sort_vals)
+    }
+
+    fn zeroed_bits<'a>(bits: &'a mut Vec<u64>, nrows: usize, allocs: &mut u64) -> &'a mut [u64] {
+        let words = nrows.div_ceil(64);
+        bits.clear();
+        Self::reserve_counting(bits, words, allocs);
+        bits.resize(words, 0);
+        bits
     }
 
     /// Copy the finished arenas into an exact-size [`CscMatrix`].
