@@ -231,6 +231,18 @@ pub fn chaos(m: &CscMatrix<f64>) -> f64 {
     worst
 }
 
+/// The top-`select` cut of a column's values: its `select`-th largest
+/// value when it holds more than `select`, else 0 (keep everything).
+/// Reorders `vals`; linear time.
+fn top_k_cut(vals: &mut [f64], select: usize) -> f64 {
+    if vals.len() <= select {
+        return 0.0;
+    }
+    *vals
+        .select_nth_unstable_by(select - 1, |a, b| b.partial_cmp(a).unwrap())
+        .1
+}
+
 /// The per-batch HipMCL pruning: inflate, normalize, select top-k,
 /// threshold, re-normalize. Column-global quantities are reduced along the
 /// process column communicator.
@@ -271,22 +283,22 @@ fn prune_batch_piece(
         .collect();
     spgemm_sparse::ops::scale_cols(&mut normalized, &factors);
 
-    // Column-global top-`select` thresholds: gather every rank's values per
-    // column, find the k-th largest.
-    let my_vals: Vec<Vec<f64>> = (0..ncols).map(|j| normalized.col(j).1.to_vec()).collect();
+    // Column-global top-`select` thresholds: gather every rank's values
+    // (one flat buffer plus column offsets each), find the k-th largest.
+    let mine = (normalized.colptr().to_vec(), normalized.vals().to_vec());
     let bytes: usize = normalized.nnz() * 8;
-    let all_vals = rank.allgather(&grid.col, my_vals, bytes, Step::Other);
+    let all_vals = rank.allgather(&grid.col, mine, bytes, Step::Other);
+    fn col_vals((colptr, vals): &(Vec<usize>, Vec<f64>), j: usize) -> &[f64] {
+        &vals[colptr[j]..colptr[j + 1]]
+    }
     let mut kth = vec![0.0f64; ncols];
     let mut scratch: Vec<f64> = Vec::new();
     for (j, kth_j) in kth.iter_mut().enumerate() {
         scratch.clear();
         for contrib in &all_vals {
-            scratch.extend_from_slice(&contrib[j]);
+            scratch.extend_from_slice(col_vals(contrib, j));
         }
-        if scratch.len() > params.select {
-            scratch.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
-            *kth_j = scratch[params.select - 1];
-        }
+        *kth_j = top_k_cut(&mut scratch, params.select);
     }
 
     // Prune: keep entries that are both above the column's top-k cut and
@@ -315,7 +327,7 @@ fn prune_batch_piece(
         let mut sumsq: f64 = 0.0;
         let mut any = false;
         for contrib in &all_vals {
-            for &v in &contrib[j] {
+            for &v in col_vals(contrib, j) {
                 if v >= kth[j] && v >= params.prune_threshold {
                     let w = v * factors2[j];
                     mx = mx.max(w);
@@ -552,6 +564,53 @@ mod tests {
     use super::*;
     use crate::components::{num_clusters, same_partition};
     use spgemm_sparse::gen::clustered_similarity;
+
+    /// The cut as a full descending sort reads it.
+    fn sorted_cut(vals: &[f64], select: usize) -> f64 {
+        let mut sorted = vals.to_vec();
+        sorted.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
+        if sorted.len() > select {
+            sorted[select - 1]
+        } else {
+            0.0
+        }
+    }
+
+    #[test]
+    fn top_k_cut_matches_a_full_sort() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in 1..40usize {
+            // Random values, and values from a short palette so that ties
+            // land on the cut.
+            let random: Vec<f64> = (0..len)
+                .map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64)
+                .collect();
+            let ties: Vec<f64> = (0..len)
+                .map(|_| [0.0, 0.25, 0.5, 1.0][next() as usize % 4])
+                .collect();
+            for vals in [random, ties] {
+                let mut selects = vec![1, len / 2 + 1, len.saturating_sub(1).max(1), len, len + 3];
+                selects.dedup();
+                for select in selects {
+                    let want = sorted_cut(&vals, select);
+                    let got = top_k_cut(&mut vals.clone(), select);
+                    assert_eq!(got.to_bits(), want.to_bits(), "len {len}, select {select}");
+                }
+            }
+        }
+        // The cut sits inside a run of equal values.
+        assert_eq!(top_k_cut(&mut [0.5, 1.0, 0.5, 0.5, 0.25], 3), 0.5);
+        // select == len keeps everything; select == len − 1 drops only
+        // the smallest value.
+        assert_eq!(top_k_cut(&mut [0.3, 0.1, 0.2], 3), 0.0);
+        assert_eq!(top_k_cut(&mut [0.3, 0.1, 0.2], 2), 0.2);
+    }
 
     #[test]
     fn init_is_column_stochastic_with_diagonal() {

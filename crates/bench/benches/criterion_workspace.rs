@@ -4,10 +4,11 @@
 //!
 //! A counting `#[global_allocator]` measures *actual* heap traffic: every
 //! `alloc`/`realloc` the process performs is one event. One "batched
-//! multiply" below is what a rank runs per batch of BatchedSUMMA3D —
-//! `√p` stage multiplies, one Merge-Layer, one (sorted) Merge-Fiber — and
-//! the benchmark compares the allocating entry points (a fresh workspace
-//! per call, the pre-PR behaviour) against one warm workspace reused
+//! multiply" below is what a rank runs per batch of BatchedSUMMA3D — a
+//! symbolic count, `√p` stage multiplies, a Merge-Layer per layer (two
+//! layers) and one sorted Merge-Fiber of the layer pieces — and the
+//! benchmark compares the allocating entry points (a fresh workspace per
+//! call, the behaviour before workspaces) against one warm workspace reused
 //! across all calls and batches. The workspace path only pays the
 //! unavoidable exact-size output copies; all scratch is reused.
 
@@ -19,7 +20,10 @@ use spgemm_sparse::merge::{
 };
 use spgemm_sparse::ops::{col_block, row_block};
 use spgemm_sparse::semiring::PlusTimesF64;
-use spgemm_sparse::spgemm::{spgemm_hash_unsorted, spgemm_hash_unsorted_with_workspace};
+use spgemm_sparse::spgemm::{
+    spgemm_hash_unsorted, spgemm_hash_unsorted_with_workspace, symbolic_col_counts,
+    symbolic_col_counts_with_workspace,
+};
 use spgemm_sparse::{CscMatrix, SpGemmWorkspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,12 +71,18 @@ fn stage_operands(a: &CscMatrix<f64>, stages: usize) -> Vec<(CscMatrix<f64>, Csc
 /// One batched multiply through the allocating entry points (fresh
 /// workspace inside every call — the pre-workspace behaviour).
 fn batch_allocating(stages: &[(CscMatrix<f64>, CscMatrix<f64>)]) -> CscMatrix<f64> {
-    let partials: Vec<_> = stages
+    let (l, r) = &stages[0];
+    black_box(symbolic_col_counts(l, r).unwrap());
+    let mut partials: Vec<_> = stages
         .iter()
         .map(|(l, r)| spgemm_hash_unsorted::<PlusTimesF64>(l, r).unwrap().0)
         .collect();
-    let (layer, _) = merge_hash_unsorted::<PlusTimesF64>(partials).unwrap();
-    let (fiber, _) = merge_hash_sorted::<PlusTimesF64>(vec![layer]).unwrap();
+    let second = partials.split_off(partials.len() / 2);
+    let layers = vec![
+        merge_hash_unsorted::<PlusTimesF64>(partials).unwrap().0,
+        merge_hash_unsorted::<PlusTimesF64>(second).unwrap().0,
+    ];
+    let (fiber, _) = merge_hash_sorted::<PlusTimesF64>(layers).unwrap();
     fiber
 }
 
@@ -81,26 +91,33 @@ fn batch_with_workspace(
     stages: &[(CscMatrix<f64>, CscMatrix<f64>)],
     ws: &mut SpGemmWorkspace<f64>,
 ) -> CscMatrix<f64> {
-    let partials: Vec<_> = stages
+    let (l, r) = &stages[0];
+    black_box(symbolic_col_counts_with_workspace(l, r, ws).unwrap());
+    let mut partials: Vec<_> = stages
         .iter()
         .map(|(l, r)| spgemm_hash_unsorted_with_workspace::<PlusTimesF64>(l, r, ws).unwrap().0)
         .collect();
-    let (layer, _) = merge_hash_unsorted_with_workspace::<PlusTimesF64>(partials, ws).unwrap();
-    let (fiber, _) = merge_hash_sorted_with_workspace::<PlusTimesF64>(vec![layer], ws).unwrap();
+    let second = partials.split_off(partials.len() / 2);
+    let layers = vec![
+        merge_hash_unsorted_with_workspace::<PlusTimesF64>(partials, ws).unwrap().0,
+        merge_hash_unsorted_with_workspace::<PlusTimesF64>(second, ws).unwrap().0,
+    ];
+    let (fiber, _) = merge_hash_sorted_with_workspace::<PlusTimesF64>(layers, ws).unwrap();
     fiber
 }
 
 fn report_alloc_counts(stages: &[(CscMatrix<f64>, CscMatrix<f64>)]) {
     const BATCHES: u64 = 16;
-    // Both paths materialize the same five outputs per batch (4 stage
-    // partials + layer merge), each costing exactly three exact-size
-    // copies (colptr/rowidx/vals), plus the partials Vec and the fiber
-    // merge's one-part Vec. The fiber merge of that one part sorts it in
-    // place, so it copies nothing. The scratch metric below subtracts this
-    // floor — it is the part workspace reuse is *supposed* to eliminate
-    // (tables, heaps, arenas, sort scratch).
-    let calls_per_batch = stages.len() as u64 + 1;
-    let output_floor = BATCHES * (3 * calls_per_batch + 2);
+    // Both paths materialize the same outputs per batch (the stage
+    // partials, two layer merges and the fiber merge), each costing
+    // exactly three exact-size copies (colptr/rowidx/vals), plus the
+    // symbolic counts, the partials Vec, its split-off half and the
+    // fiber merge's Vec of layer pieces. The scratch metric below
+    // subtracts this floor — it is the part workspace reuse is *supposed*
+    // to eliminate (tables, heaps, arenas, sort scratch, the row bitmap
+    // and its position table).
+    let calls_per_batch = stages.len() as u64 + 3;
+    let output_floor = BATCHES * (3 * calls_per_batch + 4);
 
     let before = alloc_events();
     for _ in 0..BATCHES {
@@ -125,7 +142,7 @@ fn report_alloc_counts(stages: &[(CscMatrix<f64>, CscMatrix<f64>)]) {
     let scratch_ratio = scratch_alloc as f64 / scratch_reuse.max(1) as f64;
     println!(
         "heap allocation events over {BATCHES} batched multiplies \
-         ({} stages + layer merge + fiber merge each):",
+         (symbolic count, {} stages, 2 layer merges, sorted fiber merge each):",
         stages.len()
     );
     println!(

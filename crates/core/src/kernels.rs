@@ -257,8 +257,8 @@ impl<T: Copy> LocalKernels<T> {
         Ok((c, stats))
     }
 
-    /// `LocalSymbolic` (Alg. 3) through the shared workspace's
-    /// structure-only accumulator.
+    /// `LocalSymbolic` (Alg. 3) through the shared workspace's row
+    /// bitmap.
     pub fn symbolic_col_counts(
         &mut self,
         a: &CscMatrix<T>,

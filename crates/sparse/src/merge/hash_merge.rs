@@ -88,7 +88,7 @@ pub(crate) fn hash_merge_cols<S: Semiring>(
         }
         let before = ws.rowidx.len();
         if sort {
-            acc.drain_into_sorted(&mut ws.rowidx, &mut ws.vals);
+            acc.drain_into_sorted(&mut ws.rowidx, &mut ws.vals, &mut ws.bitmap);
         } else {
             acc.drain_into(&mut ws.rowidx, &mut ws.vals);
         }

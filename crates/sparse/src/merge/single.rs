@@ -22,16 +22,16 @@
 //! The in-place sort is stable, so duplicates keep their input order and
 //! the sums come out the same.
 //!
-//! A dense column ([`is_dense_col`]) is sorted by a scan of a row bitmap;
-//! any other by a key sort. Both leave a column with a duplicate row
-//! untouched.
+//! A column is sorted by a scan of a row bitmap when `sorts_by_bitmap`
+//! holds, the same rule as the accumulator's sorted drain, and by a key
+//! sort otherwise. Both leave a column with a duplicate row untouched.
 
 use crate::csc::CscMatrix;
 use crate::par::{
     merge_col_weights, run_ranges_with, split_cols_by_weight, split_lens, RangeBalance,
 };
-use crate::spgemm::accum::is_dense_col;
-use crate::spgemm::workspace::SpGemmWorkspace;
+use crate::spgemm::accum::sorts_by_bitmap;
+use crate::spgemm::workspace::{drain_set_rows, SpGemmWorkspace};
 use crate::spgemm::{lg, WorkStats, C_DRAIN, C_MERGE_HASH, C_SORT};
 use crate::{Result, Sortedness};
 
@@ -162,7 +162,7 @@ fn sort_col_stable<T: Copy>(
     if u32::try_from(rows.len()).is_err() {
         return false;
     }
-    if is_dense_col(rows.len(), nrows) {
+    if sorts_by_bitmap(rows.len(), nrows) {
         sort_col_bitmap(rows, vals, nrows, ws)
     } else {
         sort_col_keys(rows, vals, ws)
@@ -190,8 +190,9 @@ fn sort_col_keys<T: Copy>(rows: &mut [u32], vals: &mut [T], ws: &mut SpGemmWorks
     true
 }
 
-/// Bitmap sort: mark each row in a row bitmap, remembering its position,
-/// then scan the bitmap in row order. A row marked twice is a duplicate.
+/// Bitmap sort: mark each row in the row bitmap, remembering its
+/// position, then scan the bitmap in row order. A row marked twice is a
+/// duplicate. Either way the bitmap is left all zero.
 fn sort_col_bitmap<T: Copy>(
     rows: &mut [u32],
     vals: &mut [T],
@@ -202,6 +203,9 @@ fn sort_col_bitmap<T: Copy>(
     for (i, &r) in rows.iter().enumerate() {
         let (word, bit) = (r as usize / 64, 1u64 << (r % 64));
         if bits[word] & bit != 0 {
+            for &r in &rows[..i] {
+                bits[r as usize / 64] = 0;
+            }
             return false;
         }
         bits[word] |= bit;
@@ -209,15 +213,10 @@ fn sort_col_bitmap<T: Copy>(
     }
     saved.extend_from_slice(vals);
     let mut out = rows.iter_mut().zip(vals.iter_mut());
-    for (word, &set) in bits.iter().enumerate() {
-        let mut set = set;
-        while set != 0 {
-            let r = word * 64 + set.trailing_zeros() as usize;
-            let (row, val) = out.next().expect("one output slot per marked row");
-            *row = r as u32;
-            *val = saved[pos[r] as usize];
-            set &= set - 1;
-        }
-    }
+    drain_set_rows(bits, saved.len(), |r| {
+        let (row, val) = out.next().expect("one output slot per marked row");
+        *row = r as u32;
+        *val = saved[pos[r] as usize];
+    });
     true
 }

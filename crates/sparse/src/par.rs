@@ -5,12 +5,12 @@
 //! "Exploiting Multiple Levels of Parallelism in SpGEMM"). This module
 //! exploits that. Each kernel is one *body* that computes a range of
 //! output columns into a [`SpGemmWorkspace`]'s output arenas.
-//! [`run_kernel`] splits the output column space into contiguous ranges
+//! `run_kernel` splits the output column space into contiguous ranges
 //! balanced by a **flop estimate** (not column count) and runs the body on
 //! each range in its own thread with its own workspace. It then allocates
 //! one exact-size output and copies every range's arenas into their own
 //! disjoint slices of it, in parallel. With one workspace the body runs
-//! inline over every column and [`SpGemmWorkspace::take_output`] copies
+//! inline over every column and `SpGemmWorkspace::take_output` copies
 //! the arenas out: that is the serial `_with_workspace` entry point.
 //!
 //! ## Bit-identity

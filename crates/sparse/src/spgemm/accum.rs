@@ -8,10 +8,17 @@
 //! The table is bounded by the output's row count: a column can hold at
 //! most `nrows` distinct rows whatever its flop bound. A column whose
 //! bound reaches `nrows / DENSE_COL_DIVISOR` rows is *dense*
-//! ([`is_dense_col`]): the table then indexes directly by row, one slot
+//! (`is_dense_col`): the table then indexes directly by row, one slot
 //! per row and no probing. Sparser columns hash into a table of twice
 //! their bound, and the probe mask always spans the whole table.
+//!
+//! A sorted drain orders a column by one of two means, chosen per column
+//! by `sorts_by_bitmap` whatever the table's mode: a scan of the
+//! workspace's `RowBitmap`, or a comparison sort of the occupied slots
+//! by key. Both emit the same rows and values.
 
+use super::lg;
+use super::workspace::{drain_set_rows, RowBitmap};
 use crate::semiring::Semiring;
 
 const EMPTY: u32 = u32::MAX;
@@ -25,10 +32,18 @@ const DENSE_COL_DIVISOR: usize = 16;
 
 /// True when a column with at most `ub` entries over `nrows` rows is dense:
 /// `min(ub, nrows) · DENSE_COL_DIVISOR >= nrows`. Dense columns are
-/// accumulated by row index, counted and sorted with a row bitmap.
+/// accumulated by row index.
 #[inline]
 pub(crate) fn is_dense_col(ub: usize, nrows: usize) -> bool {
     ub.min(nrows) * DENSE_COL_DIVISOR >= nrows
+}
+
+/// True when `n` entries over `nrows` rows sort faster by a row-bitmap
+/// scan than by comparisons: the scan's `nrows / 64` words cost no more
+/// than the sort's `n·lg n`.
+#[inline]
+pub(crate) fn sorts_by_bitmap(n: usize, nrows: usize) -> bool {
+    nrows.div_ceil(64) as f64 <= n as f64 * lg(n)
 }
 
 /// Open-addressing (linear probing) accumulator mapping row index → value.
@@ -45,6 +60,8 @@ pub struct HashAccum<T> {
     /// [`HASH_MULT`], or 1 for a dense column: the table covers every row,
     /// so `slot = row & mask = row`.
     mult: u32,
+    /// Row count of the current column's output (set by [`Self::reset`]).
+    nrows: usize,
     /// Heap allocations performed by table growth since construction.
     grows: u64,
     fill: T,
@@ -70,6 +87,7 @@ impl<T: Copy> HashAccum<T> {
             occupied: Vec::new(),
             mask: 0,
             mult: HASH_MULT,
+            nrows: 0,
             grows: 0,
             fill,
         }
@@ -77,12 +95,13 @@ impl<T: Copy> HashAccum<T> {
 
     /// Prepare for a column with at most `expected` entries whose keys are
     /// rows below `nrows`: grows the table if needed and clears previous
-    /// occupancy. A dense column ([`is_dense_col`]) gets one slot per row;
+    /// occupancy. A dense column (`is_dense_col`) gets one slot per row;
     /// any other gets `2·expected` slots, fewer than `nrows / 8`. Both
     /// round up to a power of two.
     pub fn reset(&mut self, expected: usize, nrows: usize) {
         let direct = is_dense_col(expected, nrows);
         self.mult = if direct { 1 } else { HASH_MULT };
+        self.nrows = nrows;
         let want = if direct { nrows.max(1) } else { expected.max(1) * 2 }.next_power_of_two();
         if want > self.keys.len() {
             self.keys = vec![EMPTY; want];
@@ -154,25 +173,6 @@ impl<T: Copy> HashAccum<T> {
         }
     }
 
-    /// Insert a key for symbolic (structure-only) counting.
-    #[inline]
-    pub fn insert_key(&mut self, key: u32) {
-        debug_assert_ne!(key, EMPTY);
-        let mut slot = self.slot_of(key);
-        loop {
-            let k = self.keys[slot];
-            if k == key {
-                return;
-            }
-            if k == EMPTY {
-                self.keys[slot] = key;
-                self.occupied.push(slot as u32);
-                return;
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
     /// Append stored `(key, value)` pairs to the output vectors in
     /// *insertion* order (unsorted — the whole point of the sort-free
     /// kernels), then leave the table ready for reuse via [`Self::reset`].
@@ -185,15 +185,37 @@ impl<T: Copy> HashAccum<T> {
 
     /// Append stored `(key, value)` pairs sorted ascending by key.
     ///
-    /// Allocation-free: the occupancy list is sorted by key in place and
-    /// then drained in that order. Reordering `occupied` is safe — its
-    /// insertion order only matters to [`Self::drain_into`], and after a
-    /// drain the next [`Self::reset`] clears it regardless of order.
-    pub fn drain_into_sorted(&mut self, rows: &mut Vec<u32>, vals: &mut Vec<T>) {
-        let keys = &self.keys;
-        self.occupied
-            .sort_unstable_by_key(|&slot| keys[slot as usize]);
-        self.drain_into(rows, vals);
+    /// Allocation-free once the bitmap has grown to the row count (its
+    /// growth is counted). When [`sorts_by_bitmap`] holds, each stored row is marked in the
+    /// all-zero bitmap with its slot in the position table, and a word
+    /// scan emits them in order and leaves the bitmap zero again.
+    /// Otherwise the occupancy list is sorted by key in place and drained
+    /// in that order. Reordering `occupied` is safe — its insertion order
+    /// only matters to [`Self::drain_into`], and after a drain the next
+    /// [`Self::reset`] clears it regardless of order.
+    pub(crate) fn drain_into_sorted(
+        &mut self,
+        rows: &mut Vec<u32>,
+        vals: &mut Vec<T>,
+        bitmap: &mut RowBitmap,
+    ) {
+        if !sorts_by_bitmap(self.len(), self.nrows) {
+            let keys = &self.keys;
+            self.occupied
+                .sort_unstable_by_key(|&slot| keys[slot as usize]);
+            self.drain_into(rows, vals);
+            return;
+        }
+        let (bits, pos) = bitmap.bits_and_pos(self.nrows);
+        for &slot in &self.occupied {
+            let r = self.keys[slot as usize];
+            bits[r as usize / 64] |= 1 << (r % 64);
+            pos[r as usize] = slot;
+        }
+        drain_set_rows(bits, self.occupied.len(), |r| {
+            rows.push(r as u32);
+            vals.push(self.vals[pos[r] as usize]);
+        });
     }
 }
 
@@ -214,7 +236,7 @@ mod tests {
         acc.accumulate::<PlusTimesF64>(3, 5.0);
         assert_eq!(acc.len(), 2);
         let (mut r, mut v) = (Vec::new(), Vec::new());
-        acc.drain_into_sorted(&mut r, &mut v);
+        acc.drain_into_sorted(&mut r, &mut v, &mut RowBitmap::default());
         assert_eq!(r, vec![3, 7]);
         assert_eq!(v, vec![5.0, 3.0]);
     }
@@ -241,7 +263,7 @@ mod tests {
         acc.reset(2, NROWS);
         acc.reset(1000, NROWS);
         for k in 0..1000 {
-            acc.insert_key(k);
+            acc.accumulate::<PlusTimesU64>(k, 1);
         }
         assert_eq!(acc.len(), 1000);
     }
@@ -296,7 +318,7 @@ mod tests {
             acc.accumulate::<PlusTimesU64>(k, 1);
         }
         let (mut r, mut v) = (Vec::new(), Vec::new());
-        acc.drain_into_sorted(&mut r, &mut v);
+        acc.drain_into_sorted(&mut r, &mut v, &mut RowBitmap::default());
         assert_eq!(r, vec![64, 99]);
         assert_eq!(v, vec![2, 1]);
     }
@@ -326,7 +348,7 @@ mod tests {
                 acc.accumulate::<PlusTimesU64>(k, round + 1);
             }
             let (mut r, mut v) = (Vec::new(), Vec::new());
-            acc.drain_into_sorted(&mut r, &mut v);
+            acc.drain_into_sorted(&mut r, &mut v, &mut RowBitmap::default());
             assert_eq!(r, vec![2, 5, 9, 14], "round {round}");
             assert_eq!(v, vec![2 * (round + 1), round + 1, round + 1, round + 1]);
         }

@@ -81,7 +81,7 @@ pub(crate) fn hybrid_cols<S: Semiring>(
                     acc.accumulate::<S>(r, S::mul(av, bv));
                 }
             }
-            acc.drain_into_sorted(&mut ws.rowidx, &mut ws.vals);
+            acc.drain_into_sorted(&mut ws.rowidx, &mut ws.vals, &mut ws.bitmap);
             let produced = ws.rowidx.len() - col_start;
             stats.work_units +=
                 col_flops as f64 * C_HASH_FLOP + produced as f64 * lg(produced) * C_SORT;

@@ -3,8 +3,16 @@
 //! Counts `nnz(A·B)` without computing values. Much cheaper than a numeric
 //! multiply (no value traffic, no output materialization), which is why the
 //! paper's Symbolic3D step is communication-dominated (Fig. 8).
+//!
+//! A column needs only its distinct rows, so the sweep counts them in the
+//! workspace's row bitmap, with no hashing and no probing. A column with
+//! fewer flops than the bitmap has words counts first touches by
+//! test-and-set and then clears the words it touched; any other sets a
+//! bit per flop and then counts and zeroes every word in one popcount
+//! pass. Either way the bitmap is all zero again after each column. The
+//! work-unit formula still charges a hash probe per flop, so the modeled
+//! clocks do not depend on how the count is taken.
 
-use super::accum::is_dense_col;
 use super::workspace::SpGemmWorkspace;
 use super::{col_flops, WorkStats, C_DRAIN, C_HASH_FLOP};
 use crate::csc::CscMatrix;
@@ -26,10 +34,9 @@ pub fn symbolic_col_counts<T: Copy, U: Copy>(
 
 /// [`symbolic_col_counts`] against caller-owned reusable scratch.
 ///
-/// Only the workspace's structure-only accumulator and row bitmap are
-/// used, so the workspace's value type `W` is independent of the operand
-/// types — the same per-rank workspace that serves the numeric kernels
-/// serves the symbolic sweep.
+/// Only the workspace's row bitmap is used, so the workspace's value type
+/// `W` is independent of the operand types — the same per-rank workspace
+/// that serves the numeric kernels serves the symbolic sweep.
 pub fn symbolic_col_counts_with_workspace<T: Copy, U: Copy, W: Copy>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
@@ -51,9 +58,8 @@ pub fn symbolic_col_counts_with_workspace<T: Copy, U: Copy, W: Copy>(
 }
 
 /// The sweep body: `counts[k]` becomes the number of distinct rows of
-/// output column `cols.start + k`. A dense column ([`is_dense_col`]) sets
-/// bits in the workspace's row bitmap and counts them; any other inserts
-/// its rows into the structure-only hash accumulator.
+/// output column `cols.start + k`, counted in the row bitmap, which is
+/// all zero again when the sweep returns.
 pub(crate) fn symbolic_cols<T: Copy, U: Copy, W: Copy>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
@@ -63,6 +69,7 @@ pub(crate) fn symbolic_cols<T: Copy, U: Copy, W: Copy>(
 ) -> WorkStats {
     let nrows = a.nrows();
     let allocs_before = ws.total_allocs();
+    let bits = ws.bitmap.bits(nrows);
     let mut stats = WorkStats::default();
     for (j, count) in cols.zip(counts.iter_mut()) {
         let (b_rows, _) = b.col(j);
@@ -70,22 +77,34 @@ pub(crate) fn symbolic_cols<T: Copy, U: Copy, W: Copy>(
         if ub == 0 {
             continue;
         }
-        *count = if is_dense_col(ub, nrows) {
-            let bits = ws.row_bitmap(nrows);
+        *count = if ub < bits.len() {
+            // Fewer touches than words: count first touches, then clear
+            // the words touched.
+            let mut distinct = 0u64;
+            for &i in b_rows {
+                for &r in a.col(i as usize).0 {
+                    let (word, bit) = (&mut bits[r as usize / 64], 1u64 << (r % 64));
+                    distinct += u64::from(*word & bit == 0);
+                    *word |= bit;
+                }
+            }
+            for &i in b_rows {
+                for &r in a.col(i as usize).0 {
+                    bits[r as usize / 64] = 0;
+                }
+            }
+            distinct
+        } else {
+            // At least as many touches as words: mark them all, then count
+            // and clear every word in one pass.
             for &i in b_rows {
                 for &r in a.col(i as usize).0 {
                     bits[r as usize / 64] |= 1 << (r % 64);
                 }
             }
-            bits.iter().map(|w| u64::from(w.count_ones())).sum()
-        } else {
-            ws.sym.reset(ub, nrows);
-            for &i in b_rows {
-                for &r in a.col(i as usize).0 {
-                    ws.sym.insert_key(r);
-                }
-            }
-            ws.sym.len() as u64
+            bits.iter_mut()
+                .map(|w| u64::from(std::mem::take(w).count_ones()))
+                .sum()
         };
         stats.flops += ub as u64;
         stats.nnz_out += *count;
@@ -93,7 +112,7 @@ pub(crate) fn symbolic_cols<T: Copy, U: Copy, W: Copy>(
         // and the drain; model at half the per-flop constant.
         stats.work_units += ub as f64 * (C_HASH_FLOP * 0.5) + *count as f64 * (C_DRAIN * 0.25);
     }
-    // Any table or bitmap growth the sweep caused.
+    // Any bitmap growth the sweep caused.
     stats.allocs = ws.total_allocs() - allocs_before;
     ws.note_peak();
     stats.peak_scratch_bytes = ws.peak_scratch_bytes();

@@ -9,13 +9,13 @@
 //! workhorse collection" design (Sec. IV-D) is explicitly about avoiding.
 //!
 //! [`SpGemmWorkspace`] owns every piece of reusable state — the numeric
-//! and symbolic [`HashAccum`]s, the k-way-merge heap and cursors, sort
-//! scratch, a row bitmap, and output arenas for `colptr`/`rowidx`/`vals` —
+//! [`HashAccum`], the k-way-merge heap and cursors, sort scratch, a
+//! `RowBitmap`, and output arenas for `colptr`/`rowidx`/`vals` —
 //! with monotonically growing capacity. Every kernel body builds its
 //! result in the arenas (preallocated to the kernel's own upper bound: the
 //! per-column `ub`/`total_in` sums). A serial `_with_workspace` call
 //! finishes with one exact-size copy per buffer
-//! ([`SpGemmWorkspace::take_output`]); a column-parallel call copies every
+//! (`SpGemmWorkspace::take_output`); a column-parallel call copies every
 //! thread's arenas into one exact-size output (`par::run_kernel`). Either way a warmed-up workspace performs a
 //! small constant number of allocations per kernel call instead of
 //! `O(log nnz)` growth events per vector plus a table reallocation per
@@ -49,8 +49,8 @@ use std::mem::size_of;
 pub struct SpGemmWorkspace<T: Copy> {
     /// Numeric hash accumulator (lazily created; see type docs).
     pub(crate) accum: Option<HashAccum<T>>,
-    /// Structure-only accumulator for symbolic counting.
-    pub(crate) sym: HashAccum<()>,
+    /// Row bitmap and position table: symbolic counts and sorted drains.
+    pub(crate) bitmap: RowBitmap,
     /// Output arena: column pointers of the matrix under construction.
     pub(crate) colptr: Vec<usize>,
     /// Output arena: row indices.
@@ -70,13 +70,9 @@ pub struct SpGemmWorkspace<T: Copy> {
     /// copy of the column's values (the single-part sorted merge).
     sort_keys: Vec<u64>,
     sort_vals: Vec<T>,
-    /// One bit per row: distinct-row counting and sorting of dense columns.
-    row_bits: Vec<u64>,
-    /// Position of each row in the column under a bitmap sort.
-    row_pos: Vec<u32>,
     /// Allocation events charged to this workspace (arena growth + output
-    /// copies); accumulator-table growths are tracked by the accumulators
-    /// themselves and folded in by [`Self::total_allocs`].
+    /// copies); accumulator-table and row-bitmap growths are tracked by
+    /// those structures and folded in by [`Self::total_allocs`].
     allocs: u64,
     /// High-water mark of [`Self::scratch_bytes`].
     peak_scratch: u64,
@@ -101,7 +97,7 @@ impl<T: Copy> SpGemmWorkspace<T> {
     pub fn new() -> Self {
         SpGemmWorkspace {
             accum: None,
-            sym: HashAccum::new(()),
+            bitmap: RowBitmap::default(),
             colptr: Vec::new(),
             rowidx: Vec::new(),
             vals: Vec::new(),
@@ -110,19 +106,15 @@ impl<T: Copy> SpGemmWorkspace<T> {
             dense: Vec::new(),
             sort_keys: Vec::new(),
             sort_vals: Vec::new(),
-            row_bits: Vec::new(),
-            row_pos: Vec::new(),
             allocs: 0,
             peak_scratch: 0,
         }
     }
 
     /// Total allocation events since construction: arena growths, output
-    /// copies, and accumulator-table growths. Monotone.
+    /// copies, accumulator-table and row-bitmap growths. Monotone.
     pub fn total_allocs(&self) -> u64 {
-        self.allocs
-            + self.sym.grows()
-            + self.accum.as_ref().map_or(0, |a| a.grows())
+        self.allocs + self.bitmap.grows + self.accum.as_ref().map_or(0, |a| a.grows())
     }
 
     /// Bytes currently held by all reusable buffers (capacities, not
@@ -130,7 +122,7 @@ impl<T: Copy> SpGemmWorkspace<T> {
     pub fn scratch_bytes(&self) -> u64 {
         let accum_bytes = self.accum.as_ref().map_or(0, |a| a.footprint_bytes());
         (accum_bytes
-            + self.sym.footprint_bytes()
+            + self.bitmap.footprint_bytes()
             + self.colptr.capacity() * size_of::<usize>()
             + self.rowidx.capacity() * size_of::<u32>()
             + self.vals.capacity() * size_of::<T>()
@@ -138,9 +130,7 @@ impl<T: Copy> SpGemmWorkspace<T> {
             + self.cursors.capacity() * size_of::<usize>()
             + self.dense.capacity() * size_of::<T>()
             + self.sort_keys.capacity() * size_of::<u64>()
-            + self.sort_vals.capacity() * size_of::<T>()
-            + self.row_bits.capacity() * size_of::<u64>()
-            + self.row_pos.capacity() * size_of::<u32>()) as u64
+            + self.sort_vals.capacity() * size_of::<T>()) as u64
     }
 
     /// Lease the dense arena as a `len`-element buffer filled with `fill`.
@@ -160,6 +150,12 @@ impl<T: Copy> SpGemmWorkspace<T> {
         if buf.capacity() > self.dense.capacity() {
             self.dense = buf;
         }
+    }
+
+    /// True when the row bitmap has no bit set, as it must between kernel
+    /// calls: every kernel clears the bits it sets.
+    pub fn row_bitmap_is_clear(&self) -> bool {
+        self.bitmap.bits.iter().all(|&w| w == 0)
     }
 
     /// High-water mark of [`Self::scratch_bytes`] over the workspace's
@@ -206,37 +202,18 @@ impl<T: Copy> SpGemmWorkspace<T> {
         (&mut self.sort_keys, &mut self.sort_vals)
     }
 
-    /// A zeroed bitmap with one bit per row. Growth is a counted
-    /// allocation; reuse costs one pass over `nrows / 64` words.
-    pub(crate) fn row_bitmap(&mut self, nrows: usize) -> &mut [u64] {
-        Self::zeroed_bits(&mut self.row_bits, nrows, &mut self.allocs)
-    }
-
     /// Scratch for the bitmap sort of an `n`-entry column over `nrows`
-    /// rows: a zeroed row bitmap, a row-indexed position table (stale
-    /// entries are never read before written) and an empty buffer for the
-    /// column's values. Growth is counted; reuse is free.
+    /// rows: the all-zero row bitmap, its position table and an empty
+    /// buffer for the column's values. Growth is counted; reuse is free.
     pub(crate) fn bitmap_sort_scratch(
         &mut self,
         nrows: usize,
         n: usize,
     ) -> (&mut [u64], &mut [u32], &mut Vec<T>) {
-        if self.row_pos.len() < nrows {
-            Self::reserve_counting(&mut self.row_pos, nrows, &mut self.allocs);
-            self.row_pos.resize(nrows, 0);
-        }
         self.sort_vals.clear();
         Self::reserve_counting(&mut self.sort_vals, n, &mut self.allocs);
-        let bits = Self::zeroed_bits(&mut self.row_bits, nrows, &mut self.allocs);
-        (bits, &mut self.row_pos[..nrows], &mut self.sort_vals)
-    }
-
-    fn zeroed_bits<'a>(bits: &'a mut Vec<u64>, nrows: usize, allocs: &mut u64) -> &'a mut [u64] {
-        let words = nrows.div_ceil(64);
-        bits.clear();
-        Self::reserve_counting(bits, words, allocs);
-        bits.resize(words, 0);
-        bits
+        let (bits, pos) = self.bitmap.bits_and_pos(nrows);
+        (bits, pos, &mut self.sort_vals)
     }
 
     /// Copy the finished arenas into an exact-size [`CscMatrix`].
@@ -272,6 +249,77 @@ impl<T: Copy> SpGemmWorkspace<T> {
     /// Record the current footprint into the high-water mark.
     pub(crate) fn note_peak(&mut self) {
         self.peak_scratch = self.peak_scratch.max(self.scratch_bytes());
+    }
+}
+
+/// One bit per row plus a row-indexed position table, shared by the
+/// symbolic counts and the bitmap sorts.
+///
+/// The bitmap is all zero whenever it is handed out: every user clears
+/// the bits it set before it returns, so no call pays to re-zero
+/// `nrows / 64` words it never touched. Both buffers grow monotonically;
+/// each growth is a counted allocation.
+#[derive(Debug, Default)]
+pub(crate) struct RowBitmap {
+    bits: Vec<u64>,
+    /// Row → position; stale entries are never read before written.
+    pos: Vec<u32>,
+    /// Growth events of `bits` and `pos`.
+    grows: u64,
+}
+
+impl RowBitmap {
+    /// The all-zero bitmap over `nrows` rows.
+    pub(crate) fn bits(&mut self, nrows: usize) -> &mut [u64] {
+        Self::zeroed(&mut self.bits, nrows, &mut self.grows)
+    }
+
+    /// [`Self::bits`] plus the position table over `nrows` rows.
+    pub(crate) fn bits_and_pos(&mut self, nrows: usize) -> (&mut [u64], &mut [u32]) {
+        Self::grow(&mut self.pos, nrows, &mut self.grows);
+        let bits = Self::zeroed(&mut self.bits, nrows, &mut self.grows);
+        (bits, &mut self.pos[..nrows])
+    }
+
+    fn footprint_bytes(&self) -> usize {
+        self.bits.capacity() * size_of::<u64>() + self.pos.capacity() * size_of::<u32>()
+    }
+
+    fn zeroed<'a>(bits: &'a mut Vec<u64>, nrows: usize, grows: &mut u64) -> &'a mut [u64] {
+        let words = nrows.div_ceil(64);
+        Self::grow(bits, words, grows);
+        let bits = &mut bits[..words];
+        debug_assert!(
+            bits.iter().all(|&w| w == 0),
+            "row bitmap handed out with bits set"
+        );
+        bits
+    }
+
+    /// Extend `buf` with zeros to at least `len` entries, counting a
+    /// capacity growth.
+    fn grow<U: Copy + Default>(buf: &mut Vec<U>, len: usize, grows: &mut u64) {
+        if buf.len() < len {
+            *grows += u64::from(buf.capacity() < len);
+            buf.resize(len, U::default());
+        }
+    }
+}
+
+/// Call `f` on each set row of `bits` in ascending order, zeroing every
+/// word it reads; `n`, the number of set bits, ends the scan at the last.
+pub(crate) fn drain_set_rows(bits: &mut [u64], n: usize, mut f: impl FnMut(usize)) {
+    let mut left = n;
+    for (w, word) in bits.iter_mut().enumerate() {
+        if left == 0 {
+            break;
+        }
+        let mut set = std::mem::take(word);
+        left -= set.count_ones() as usize;
+        while set != 0 {
+            f(w * 64 + set.trailing_zeros() as usize);
+            set &= set - 1;
+        }
     }
 }
 
